@@ -17,7 +17,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    LoopyMatrix,
     build_named,
     cartesian_product,
     complement,
@@ -74,8 +73,6 @@ from .predict import (
 from .theorems import (
     FamilySpec,
     TheoremReport,
-    check_cospectrality_family,
-    check_energy_identity,
     check_le_doubling,
     family_cartesian,
     family_join_edc,

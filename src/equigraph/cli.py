@@ -27,14 +27,13 @@ from .graphs import (
     kronecker_product,
     line_graph,
 )
+from .predict import check_cap
 from .reports import make_report, payload_digest, render_report
 from .spectra import (
     edc_spanning_trees_formula,
-    energy,
-    laplacian_energy,
-    signless_laplacian_energy,
     spanning_trees_eigen,
     spanning_trees_exact,
+    spectral_energy,
     spectrum_of,
 )
 
@@ -44,12 +43,42 @@ EXIT_USAGE = 2
 EXIT_DEVIATION = 3
 
 MATRIX_FLAGS = {"a": "adjacency", "l": "laplacian", "q": "signless_laplacian"}
-ENERGY_FLAGS = {"e": "energy", "le": "laplacian", "le+": "signless_laplacian"}
+ENERGY_FLAGS = {"e": "adjacency", "le": "laplacian", "le+": "signless_laplacian"}
 
-UNARY_OPS = ("edc", "edc^k", "double", "kfold", "line", "complement")
-BINARY_OPS = ("join", "cartesian", "kronecker", "union")
 
-FAMILY_THEOREMS = ("4.3", "4.4", "4.6", "4.7", "4.8", "4.9", "4.10", "eq41")
+def _iterated_edc(G: Graph, k: int | None) -> Graph:
+    k = 1 if k is None else k
+    check_cap(G.n, "iterated double cover", doublings=k)
+    return iterated_edc(G, k)
+
+
+def _k_fold(G: Graph, k: int | None) -> Graph:
+    k = 2 if k is None else k
+    check_cap(G.n * k, "k-fold graph")
+    return k_fold(G, k)
+
+
+# --op -> builder(G, k), with k None when --k is not given
+UNARY_OPS = {
+    "edc": lambda G, k: extended_double_cover(G),
+    "edc^k": _iterated_edc,
+    "double": lambda G, k: double_graph(G),
+    "kfold": _k_fold,
+    "line": lambda G, k: line_graph(G),
+    "complement": lambda G, k: complement(G),
+}
+
+# --op2 -> builder(G1, G2); the products have n1 * n2 vertices, the others n1 + n2
+BINARY_OPS = {
+    "join": join,
+    "cartesian": cartesian_product,
+    "kronecker": kronecker_product,
+    "union": disjoint_union,
+}
+
+
+def _claim_ids(command: str) -> list[str]:
+    return [tid for tid, claim in theorems.CLAIMS.items() if claim.command == command]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     en = sub.add_parser("energy", help="print a graph energy")
     en.add_argument("--in", dest="infile", required=True)
-    en.add_argument("--kind", choices=["e", "le", "le+"], required=True)
+    en.add_argument("--kind", choices=sorted(ENERGY_FLAGS), required=True)
 
     co = sub.add_parser("construct", help="build a derived graph")
     co.add_argument("--in", dest="infile", required=True)
-    co.add_argument("--op", choices=UNARY_OPS, required=True)
+    co.add_argument("--op", choices=list(UNARY_OPS), required=True)
     co.add_argument("--k", type=int, default=None)
     co.add_argument("--with", dest="withfile", default=None)
-    co.add_argument("--op2", choices=BINARY_OPS, default=None)
+    co.add_argument("--op2", choices=list(BINARY_OPS), default=None)
     co.add_argument("--out", choices=["graph6", "edgelist"], required=True)
 
     tr = sub.add_parser("trees", help="count spanning trees")
@@ -81,13 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="check one spectral claim")
     ve.add_argument("--in", dest="infile", required=True)
-    ve.add_argument("--theorem", required=True)
+    ve.add_argument("--theorem", required=True,
+                    help="claim ID: " + " ".join(_claim_ids("verify")))
     ve.add_argument("--k", type=int, default=None)
     ve.add_argument("--in2", dest="infile2", default=None)
     ve.add_argument("--eps", type=float, default=None)
 
     fa = sub.add_parser("family", help="check one equienergetic family instance")
-    fa.add_argument("--theorem", choices=FAMILY_THEOREMS, required=True)
+    fa.add_argument("--theorem", choices=_claim_ids("family"), required=True)
     fa.add_argument("--in", dest="infile", required=True)
     fa.add_argument("--in2", dest="infile2", default=None)
     fa.add_argument("--p", type=int, required=True)
@@ -121,45 +151,18 @@ def cmd_spectra(args) -> tuple[dict, int]:
 
 def cmd_energy(args) -> tuple[dict, int]:
     G, meta = _load_graph(args.infile)
-    fn = {"e": energy, "le": laplacian_energy, "le+": signless_laplacian_energy}[args.kind]
-    val = fn(G)
+    val, spec = spectral_energy(G, ENERGY_FLAGS[args.kind])
     results = {"kind": val.kind, "value": val.value}
     if val.avg_degree is not None:
         results["avg_degree"] = val.avg_degree
-    kind = {"e": "adjacency", "le": "laplacian", "le+": "signless_laplacian"}[args.kind]
-    report = make_report("energy", {"kind": args.kind}, {"in": meta}, results,
-                         eps=spectrum_of(G, kind).tol)
+    report = make_report("energy", {"kind": args.kind}, {"in": meta}, results, eps=spec.tol)
     return report, EXIT_OK
-
-
-def _apply_unary(G: Graph, op: str, k: int | None) -> Graph:
-    if op == "edc":
-        return extended_double_cover(G)
-    if op == "edc^k":
-        return iterated_edc(G, k if k is not None else 1)
-    if op == "double":
-        return double_graph(G)
-    if op == "kfold":
-        return k_fold(G, k if k is not None else 2)
-    if op == "line":
-        return line_graph(G)
-    return complement(G)
-
-
-def _apply_binary(G1: Graph, G2: Graph, op: str) -> Graph:
-    if op == "join":
-        return join(G1, G2)
-    if op == "cartesian":
-        return cartesian_product(G1, G2)
-    if op == "kronecker":
-        return kronecker_product(G1, G2)
-    return disjoint_union(G1, G2)
 
 
 def cmd_construct(args) -> tuple[dict, int]:
     G, meta = _load_graph(args.infile)
     inputs = {"in": meta}
-    out = _apply_unary(G, args.op, args.k)
+    out = UNARY_OPS[args.op](G, args.k)
     options = {"op": args.op, "out": args.out}
     if args.k is not None:
         options["k"] = args.k
@@ -169,7 +172,9 @@ def cmd_construct(args) -> tuple[dict, int]:
         G2, meta2 = _load_graph(args.withfile)
         inputs["with"] = meta2
         options["op2"] = args.op2
-        out = _apply_binary(out, G2, args.op2)
+        order = out.n * G2.n if args.op2 in ("cartesian", "kronecker") else out.n + G2.n
+        check_cap(order, f"--op2 {args.op2}")
+        out = BINARY_OPS[args.op2](out, G2)
     doc = emit_graph(out, args.out)
     results = {"graph": {"format": doc.format, "payload": doc.payload},
                "n": out.n, "m": out.m}
@@ -194,63 +199,21 @@ def cmd_trees(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_claim(args) -> tuple[dict, int]:
+    """`verify` and `family`: run one claim from the table in `theorems`."""
     G, meta = _load_graph(args.infile)
     inputs = {"in": meta}
     second = None
     if args.infile2 is not None:
-        second, meta2 = _load_graph(args.infile2)
-        inputs["in2"] = meta2
-    check = theorems.run_check(args.theorem, G, k=args.k, second=second, eps=args.eps)
+        second, inputs["in2"] = _load_graph(args.infile2)
+    given = {name: getattr(args, name, None) for name in ("p", "k", "t")}
+    spec, check = theorems.run_claim(args.command, args.theorem, G, second, args.eps, **given)
+    results = {"report": check.to_dict()}
+    if spec is not None:
+        results["family"] = spec.to_dict()
     options = {"theorem": args.theorem}
-    if args.k is not None:
-        options["k"] = args.k
-    report = make_report("verify", options, inputs, {"report": check.to_dict()}, eps=check.eps)
-    code = EXIT_DEVIATION if check.verdict == theorems.VERDICT_DEVIATION else EXIT_OK
-    return report, code
-
-
-def cmd_family(args) -> tuple[dict, int]:
-    G, meta = _load_graph(args.infile)
-    inputs = {"in": meta}
-    second = None
-    if args.infile2 is not None:
-        second, meta2 = _load_graph(args.infile2)
-        inputs["in2"] = meta2
-    eps = args.eps if args.eps is not None else theorems.EPS_FAMILY
-    results: dict = {}
-
-    tid = args.theorem
-    if tid in ("4.3", "4.4"):
-        t = 1 if tid == "4.3" else (args.t if args.t is not None else 2)
-        spec, check = theorems.family_join_edc(G, args.p, t=t, k=args.k, eps=eps, theorem_id=tid)
-        results["family"] = spec.to_dict()
-    elif tid in ("4.6", "4.7"):
-        fold = 2 if tid == "4.6" else (args.k if args.k is not None else 3)
-        slack = args.t if tid == "4.7" else args.k
-        if tid == "4.6":
-            spec, check = theorems.family_join_kfold(G, args.p, k=2, t=slack, eps=eps, theorem_id=tid)
-        else:
-            spec, check = theorems.family_join_kfold(G, args.p, k=fold, t=slack, eps=eps, theorem_id=tid)
-        results["family"] = spec.to_dict()
-    elif tid in ("4.8", "4.9", "eq41"):
-        if second is None:
-            raise EquigraphError(f"family {tid} needs --in2")
-        mixed = {"4.8": "thm48", "4.9": "thm49", "eq41": "eq41_42"}[tid]
-        check = theorems.family_mixed(mixed, G, second, args.p,
-                                      k=args.k if args.k is not None else 4, eps=eps)
-    else:
-        if second is None:
-            raise EquigraphError("family 4.10 needs --in2")
-        check = theorems.family_cartesian(G, second, args.p, eps=eps)
-
-    results["report"] = check.to_dict()
-    options = {"theorem": tid, "p": args.p}
-    if args.k is not None:
-        options["k"] = args.k
-    if args.t is not None:
-        options["t"] = args.t
-    report = make_report("family", options, inputs, results, eps=check.eps)
+    options.update((name, value) for name, value in given.items() if value is not None)
+    report = make_report(args.command, options, inputs, results, eps=check.eps)
     code = EXIT_DEVIATION if check.verdict == theorems.VERDICT_DEVIATION else EXIT_OK
     return report, code
 
@@ -260,8 +223,8 @@ COMMANDS = {
     "energy": cmd_energy,
     "construct": cmd_construct,
     "trees": cmd_trees,
-    "verify": cmd_verify,
-    "family": cmd_family,
+    "verify": cmd_claim,
+    "family": cmd_claim,
 }
 
 

@@ -62,11 +62,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def neighbors(self, u: int) -> set[int]:
-        if not 0 <= u < self.n:
-            raise ParameterError(f"vertex {u} out of range for n={self.n}")
-        return {v if w == u else w for w, v in self.edges if u in (w, v)}
-
     def adjacency_sets(self) -> list[set[int]]:
         adj = [set() for _ in range(self.n)]
         for u, v in self.edges:
@@ -78,43 +73,9 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
 
-@dataclass(frozen=True)
-class LoopyMatrix:
-    """Dense symmetric 0/1 matrix where diagonal entries may be 1.
-
-    Holds the all-ones matrix of the complete-graph-with-loops on k
-    vertices; kept separate from Graph, which never carries loops.
-    """
-
-    order: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.order:
-            raise ValidationError("entry rows do not match order")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.order:
-                raise ValidationError("entry columns do not match order")
-            for j, x in enumerate(row):
-                if x not in (0, 1):
-                    raise ValidationError(f"entry ({i},{j}) = {x!r} not in {{0,1}}")
-                if self.entries[j][i] != x:
-                    raise ValidationError("matrix not symmetric")
-
-    @classmethod
-    def all_ones(cls, k: int) -> "LoopyMatrix":
-        """Complete graph on k vertices with a loop at every vertex."""
-        if k < 1:
-            raise ParameterError("order must be positive")
-        return cls(k, tuple(tuple(1 for _ in range(k)) for _ in range(k)))
-
-
 # ---------------------------------------------------------------------------
 # named families
 # ---------------------------------------------------------------------------
-
-NAMED_FAMILIES = ("complete", "empty", "complete_bipartite", "path", "cycle", "hypercube")
-
 
 def complete(n: int) -> Graph:
     _positive(n, "complete")

@@ -32,10 +32,16 @@ def vertex_cap() -> int:
     return cap
 
 
-def check_cap(n: int, what: str) -> None:
+def check_cap(n: int, what: str, doublings: int = 0) -> None:
+    """Refuse a graph on n * 2**doublings vertices above the vertex cap; a
+    huge doublings count is refused without forming 2**doublings."""
+    if doublings < 0:
+        raise ParameterError(f"iteration count must be nonnegative, got {doublings}")
     cap = vertex_cap()
-    if n > cap:
-        raise ResourceLimitError(f"{what} needs {n} vertices, above the cap of {cap} "
+    huge = n > 0 and doublings > cap.bit_length()
+    order = f"{n} * 2**{doublings}" if huge else n << doublings
+    if huge or order > cap:
+        raise ResourceLimitError(f"{what} needs {order} vertices, above the cap of {cap} "
                                  f"(raise {VERTEX_CAP_ENV} to override)")
 
 
@@ -50,6 +56,7 @@ def predict_kfold_a_spectrum(G: Graph, k: int) -> Spectrum:
     """Adjacency spectrum of the k-fold graph: k*lambda_i plus (k-1)n zeros."""
     if k < 1:
         raise ParameterError(f"fold count must be positive, got {k}")
+    check_cap(G.n * k, "k-fold graph")
     lam = spectrum_of(G, "adjacency").values
     out = [k * v for v in lam] + [0.0] * ((k - 1) * G.n)
     return Spectrum(tuple(sorted(out)))
@@ -72,7 +79,7 @@ def predict_iterated_edc_l_spectrum(G: Graph, k: int) -> Spectrum:
     """
     if k < 1:
         raise ParameterError(f"iteration count must be positive, got {k}")
-    check_cap((1 << k) * G.n, "iterated double cover spectrum")
+    check_cap(G.n, "iterated double cover spectrum", doublings=k)
     mu = spectrum_of(G, "laplacian").values
     q = spectrum_of(G, "signless_laplacian").values
     out: list[float] = []
@@ -93,7 +100,7 @@ def predict_iterated_edc_l_spectrum_bipartite(G: Graph, k: int) -> Spectrum:
         raise ParameterError(f"iteration count must be positive, got {k}")
     if not is_bipartite(G):
         raise ParameterError("bipartite shortcut requires a bipartite graph")
-    check_cap((1 << k) * G.n, "iterated double cover spectrum")
+    check_cap(G.n, "iterated double cover spectrum", doublings=k)
     mu = spectrum_of(G, "laplacian").values
     out: list[float] = []
     for r in range(k + 1):
@@ -107,6 +114,7 @@ def predict_kfold_l_spectrum(G: Graph, k: int) -> Spectrum:
     """Laplacian spectrum of the k-fold graph: {k*mu_i} u {k*d_i, k-1 times each}."""
     if k < 1:
         raise ParameterError(f"fold count must be positive, got {k}")
+    check_cap(G.n * k, "k-fold graph")
     mu = spectrum_of(G, "laplacian").values
     out = [k * v for v in mu]
     for d in G.degrees():
@@ -133,15 +141,14 @@ def predict_join_l_spectrum(G1: Graph, G2: Graph) -> Spectrum:
 def predict_product_spectrum(G1: Graph, G2: Graph, product: str, kind: str) -> Spectrum:
     """Pairwise sums (cartesian) or products (kronecker) of the parts' spectra.
 
-    The sum rule is exact for both matrix kinds.  The product rule is exact
-    for the adjacency spectrum only; the laplacian variant is exposed for
-    per-instance experiments but does not hold in general, so nothing
-    downstream relies on it.
+    The sum rule is exact for the adjacency and Laplacian spectra, the
+    product rule for the adjacency spectrum only.
     """
-    if product not in ("cartesian", "kronecker"):
+    kinds = {"cartesian": ("adjacency", "laplacian"), "kronecker": ("adjacency",)}
+    if product not in kinds:
         raise ParameterError(f"unknown product {product!r}")
-    if kind not in ("adjacency", "laplacian"):
-        raise ParameterError(f"unsupported matrix kind {kind!r} for product spectra")
+    if kind not in kinds[product]:
+        raise ParameterError(f"unsupported matrix kind {kind!r} for {product} product spectra")
     s1 = spectrum_of(G1, kind).values
     s2 = spectrum_of(G2, kind).values
     if product == "cartesian":

@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from collections.abc import Iterator
 
-import numpy as np
-
 from .errors import ParameterError
 from .graphs import Graph
 from .spectra import spectrum_of, Spectrum, spectra_equal
@@ -113,12 +111,3 @@ def find_regular_graph_with_l_spectrum(n: int, r: int, target: Spectrum,
             if stop_at_first:
                 break
     return SearchResult(witness, scanned, matched)
-
-
-def distinct_l_spectra(n: int, r: int, decimals: int = 6) -> set[tuple[float, ...]]:
-    """Rounded Laplacian-spectrum key set over all r-regular graphs on n vertices."""
-    seen = set()
-    for G in enumerate_regular_graphs(n, r):
-        vals = spectrum_of(G, "laplacian").values
-        seen.add(tuple(float(np.round(v, decimals)) for v in vals))
-    return seen

@@ -151,26 +151,28 @@ def is_laplacian_integral(G: Graph, eps: float = 1e-8) -> bool:
 # energies
 # ---------------------------------------------------------------------------
 
+def spectral_energy(G: Graph, kind: str) -> tuple[EnergyValue, Spectrum]:
+    """Energy of one matrix of G and the spectrum it sums: |lambda_i| for
+    the adjacency matrix, |mu_i - 2m/n| for the two Laplacian kinds."""
+    if kind != "adjacency" and G.n == 0:
+        raise ParameterError("average degree 2m/n undefined for the empty graph")
+    avg = None if kind == "adjacency" else 2.0 * G.m / G.n
+    spec = spectrum_of(G, kind)
+    value = float(sum(abs(v - (avg or 0.0)) for v in spec.values))
+    return EnergyValue(value, kind, avg_degree=avg), spec
+
+
 def energy(G: Graph) -> EnergyValue:
     """Sum of absolute adjacency eigenvalues."""
-    vals = spectrum_of(G, "adjacency").values
-    return EnergyValue(float(sum(abs(v) for v in vals)), "adjacency")
+    return spectral_energy(G, "adjacency")[0]
 
 
 def laplacian_energy(G: Graph) -> EnergyValue:
-    return _laplacian_energy(G, "laplacian")
+    return spectral_energy(G, "laplacian")[0]
 
 
 def signless_laplacian_energy(G: Graph) -> EnergyValue:
-    return _laplacian_energy(G, "signless_laplacian")
-
-
-def _laplacian_energy(G: Graph, kind: str) -> EnergyValue:
-    if G.n == 0:
-        raise ParameterError("average degree 2m/n undefined for the empty graph")
-    avg = 2.0 * G.m / G.n
-    vals = spectrum_of(G, kind).values
-    return EnergyValue(float(sum(abs(v - avg) for v in vals)), kind, avg_degree=avg)
+    return spectral_energy(G, "signless_laplacian")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ and returns a TheoremReport.  Hypothesis failure is data, not an exception:
 the verdict enum carries it so near-miss cases stay visible.
 
 Claims are addressed by short identifiers (e.g. "3.2", "4.10") which are
-also the CLI vocabulary; see CHECK_IDS.
+also the CLI vocabulary; see CLAIMS.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ParameterError
 from .graphs import (
@@ -153,10 +155,6 @@ class FamilySpec:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _abs_eigs(G: Graph) -> list[float]:
-    return [abs(v) for v in spectrum_of(G, "adjacency").values]
-
-
 def _tensor_k2_power(G: Graph, s: int) -> Graph:
     """s-fold Kronecker product with a single edge."""
     if s < 0:
@@ -203,7 +201,6 @@ def check_edc_laplacian_spectrum(G: Graph, eps: float = EPS_SPECTRUM) -> Theorem
 
 def check_iterated_edc_laplacian_spectrum(G: Graph, k: int = 2, eps: float = EPS_SPECTRUM) -> TheoremReport:
     predicted = predict_iterated_edc_l_spectrum(G, k)
-    check_cap((1 << k) * G.n, "iterated double cover")
     computed = spectrum_of(iterated_edc(G, k), "laplacian")
     details: dict = {"k": k, "bipartite": is_bipartite(G)}
     if is_bipartite(G):
@@ -240,6 +237,8 @@ def check_tensor_power_vs_kfold_energy(G: Graph, k: int = 2, s: int | None = Non
         raise ParameterError(f"fold count must be positive, got {k}")
     if s is None:
         s = max(k.bit_length() - 1, 1)
+    check_cap(G.n * k, "k-fold graph")
+    check_cap(G.n, "tensor power", doublings=s)
     base = energy(G).value
     e_fold = energy(k_fold(G, k)).value
     e_power = energy(_tensor_k2_power(G, s)).value
@@ -298,27 +297,6 @@ def check_tensor_cartesian_energy(G: Graph, eps: float = EPS_ENERGY) -> TheoremR
     return make_report("2.kron-cart", {}, (rhs,), (lhs,), eps)
 
 
-ENERGY_IDENTITY_IDS = ("2.6", "2.7", "2.8", "2.9", "2.edc-energy", "2.kron-cart")
-
-
-def check_energy_identity(identity_id: str, G: Graph, k: int | None = None,
-                          s: int | None = None, eps: float = EPS_ENERGY) -> TheoremReport:
-    """Dispatch over the energy-identity checks by identifier."""
-    if identity_id == "2.6":
-        return check_tensor_k2_vs_double_energy(G, eps)
-    if identity_id == "2.7":
-        return check_tensor_power_vs_kfold_energy(G, k if k is not None else 2, s, eps)
-    if identity_id == "2.8":
-        return check_edc_tensor_vs_iterated_energy(G, eps)
-    if identity_id == "2.9":
-        return check_edc_vs_double_energy_bipartite(G, eps)
-    if identity_id == "2.edc-energy":
-        return check_edc_energy_formula(G, eps)
-    if identity_id == "2.kron-cart":
-        return check_tensor_cartesian_energy(G, eps)
-    raise ParameterError(f"unknown energy identity {identity_id!r}; choose from {ENERGY_IDENTITY_IDS}")
-
-
 # ---------------------------------------------------------------------------
 # spanning trees, integrality, cospectrality
 # ---------------------------------------------------------------------------
@@ -340,7 +318,7 @@ def check_laplacian_integrality_iteration(G: Graph, k: int = 1, eps: float = 1e-
     is exact only when those are integral too; automatic for bipartite G,
     reported as a hypothesis otherwise.
     """
-    check_cap((1 << k) * G.n, "iterated double cover")
+    check_cap(G.n, "iterated double cover", doublings=k)
     q_vals = spectrum_of(G, "signless_laplacian").values
     q_integral = all(abs(v - round(v)) <= eps for v in q_vals)
     hyp = {"bipartite_or_q_integral": is_bipartite(G) or q_integral}
@@ -366,7 +344,7 @@ def check_iterated_cospectral_pair(G: Graph, second: Graph, k: int = 1,
                                    eps: float = EPS_SPECTRUM) -> TheoremReport:
     """Laplacian cospectrality of a pair is preserved and reflected by the
     k-th iterated cover."""
-    check_cap((1 << k) * max(G.n, second.n), "iterated double cover")
+    check_cap(max(G.n, second.n), "iterated double cover", doublings=k)
     base_equal = spectral_distance(spectrum_of(G, "laplacian"),
                                    spectrum_of(second, "laplacian")) <= eps
     iter_equal = spectral_distance(spectrum_of(iterated_edc(G, k), "laplacian"),
@@ -381,7 +359,7 @@ def check_bipartite_cospectral_chain(G: Graph, k: int = 2, eps: float = EPS_SPEC
     (s-1)-th cover of the prism, and G x (hypercube of dimension s)."""
     if k < 1:
         raise ParameterError(f"iteration count must be positive, got {k}")
-    check_cap((1 << k) * max(G.n, 1), "cospectral chain")
+    check_cap(max(G.n, 1), "cospectral chain", doublings=k)
     hyp = {"bipartite": is_bipartite(G)}
     k2 = complete(2)
     members = [
@@ -395,23 +373,6 @@ def check_bipartite_cospectral_chain(G: Graph, k: int = 2, eps: float = EPS_SPEC
              for i in range(len(spectra)) for j in range(i + 1, len(spectra))]
     return make_report("3.chain", hyp, tuple(0.0 for _ in dists), tuple(dists), eps,
                        {"k": k, "member_orders": [M.n for M in members]})
-
-
-COSPECTRALITY_IDS = ("3.6", "3.8", "3.chain")
-
-
-def check_cospectrality_family(family_id: str, G: Graph, k: int = 1,
-                               second: Graph | None = None,
-                               eps: float = EPS_SPECTRUM) -> TheoremReport:
-    if family_id == "3.6":
-        return check_edc_cartesian_cospectral(G, eps)
-    if family_id == "3.8":
-        if second is None:
-            raise ParameterError("cospectral pair check needs a second graph")
-        return check_iterated_cospectral_pair(G, second, k, eps)
-    if family_id == "3.chain":
-        return check_bipartite_cospectral_chain(G, k, eps)
-    raise ParameterError(f"unknown cospectrality check {family_id!r}; choose from {COSPECTRALITY_IDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +403,7 @@ def kfold_le_formula(G: Graph, k: int = 2, eps: float = EPS_ENERGY) -> TheoremRe
         raise ParameterError(f"fold count must be positive, got {k}")
     if G.n == 0:
         raise ParameterError("Laplacian energy undefined for the empty graph")
+    check_cap(G.n * k, "k-fold graph")
     closed = k * laplacian_energy(G).value + k * (k - 1) * _sum_degree_deviation(G)
     direct = laplacian_energy(k_fold(G, k)).value
     return make_report("4.kfold-le", {}, (closed,), (direct,), eps, {"k": k})
@@ -466,6 +428,7 @@ def family_join_edc(G: Graph, p: int, t: int = 1, k: int | None = None,
         raise ParameterError(f"join partner size must be positive, got {p}")
     if t < 0:
         raise ParameterError(f"iteration count must be nonnegative, got {t}")
+    check_cap(G.n, "iterated double cover", doublings=t)
     if k is None:
         k = smallest_feasible_edc_join_slack(G, t)
     n, m = G.n, G.m
@@ -650,46 +613,80 @@ def family_cartesian(G1: Graph, G2: Graph, p: int, eps: float = EPS_FAMILY) -> T
 
 
 # ---------------------------------------------------------------------------
-# dispatch registry for the CLI
+# claim table: the `verify` and `family` vocabulary
 # ---------------------------------------------------------------------------
 
-CHECK_IDS = (
-    "2.4", "2.5", "2.6", "2.7", "2.8", "2.9", "2.edc-energy", "2.kron-cart",
-    "3.2", "3.3", "3.5", "3.6", "3.7", "3.8", "3.chain",
-    "4.1", "4.2", "4.kfold-le",
-)
+@dataclass(frozen=True)
+class Claim:
+    """How one claim runs: the CLI command that owns it ("verify" or
+    "family"), its checker and default eps, whether the checker takes a
+    second graph after the first, and which checker parameter each given
+    CLI option (k, t or p) sets."""
+
+    command: str
+    check: Callable
+    eps: float
+    needs_second: bool = False
+    options: dict = field(default_factory=dict)
+
+
+_K = {"k": "k"}
+_PK = {"p": "p", "k": "k"}
+
+CLAIMS: dict[str, Claim] = {
+    "2.4": Claim("verify", check_edc_adjacency_spectrum, EPS_SPECTRUM),
+    "2.5": Claim("verify", check_kfold_adjacency_spectrum, EPS_SPECTRUM, options=_K),
+    "2.6": Claim("verify", check_tensor_k2_vs_double_energy, EPS_ENERGY),
+    "2.7": Claim("verify", check_tensor_power_vs_kfold_energy, EPS_ENERGY, options=_K),
+    "2.8": Claim("verify", check_edc_tensor_vs_iterated_energy, EPS_ENERGY),
+    "2.9": Claim("verify", check_edc_vs_double_energy_bipartite, EPS_ENERGY),
+    "2.edc-energy": Claim("verify", check_edc_energy_formula, EPS_ENERGY),
+    "2.kron-cart": Claim("verify", check_tensor_cartesian_energy, EPS_ENERGY),
+    "3.2": Claim("verify", check_edc_laplacian_spectrum, EPS_SPECTRUM),
+    "3.3": Claim("verify", check_iterated_edc_laplacian_spectrum, EPS_SPECTRUM, options=_K),
+    "3.5": Claim("verify", check_edc_spanning_trees, EPS_TREES),
+    "3.6": Claim("verify", check_edc_cartesian_cospectral, EPS_SPECTRUM),
+    "3.7": Claim("verify", check_laplacian_integrality_iteration, 1e-8, options=_K),
+    "3.8": Claim("verify", check_iterated_cospectral_pair, EPS_SPECTRUM, True, _K),
+    "3.chain": Claim("verify", check_bipartite_cospectral_chain, EPS_SPECTRUM, options=_K),
+    "4.1": Claim("verify", check_kfold_laplacian_spectrum, EPS_SPECTRUM, options=_K),
+    "4.2": Claim("verify", check_le_doubling, EPS_ENERGY),
+    "4.kfold-le": Claim("verify", kfold_le_formula, EPS_ENERGY, options=_K),
+    # --k is the slack of 4.3, 4.4 and 4.6; 4.7 takes the fold from --k and the slack from --t
+    "4.3": Claim("family", partial(family_join_edc, t=1, theorem_id="4.3"), EPS_FAMILY, options=_PK),
+    "4.4": Claim("family", partial(family_join_edc, t=2, theorem_id="4.4"), EPS_FAMILY,
+                 options={"p": "p", "k": "k", "t": "t"}),
+    "4.6": Claim("family", partial(family_join_kfold, k=2, theorem_id="4.6"), EPS_FAMILY,
+                 options={"p": "p", "t": "k"}),
+    "4.7": Claim("family", partial(family_join_kfold, k=3, theorem_id="4.7"), EPS_FAMILY,
+                 options={"p": "p", "k": "k", "t": "t"}),
+    "4.8": Claim("family", partial(family_mixed, "thm48"), EPS_FAMILY, True, _PK),
+    "4.9": Claim("family", partial(family_mixed, "thm49"), EPS_FAMILY, True, _PK),
+    "4.10": Claim("family", family_cartesian, EPS_FAMILY, True, {"p": "p"}),
+    "eq41": Claim("family", partial(family_mixed, "eq41_42"), EPS_FAMILY, True, _PK),
+}
+
+
+def run_claim(command: str, theorem_id: str, G: Graph, second: Graph | None = None,
+              eps: float | None = None, **options: int | None
+              ) -> tuple[FamilySpec | None, TheoremReport]:
+    """Run one claim of `command` by ID; options are the CLI's k, t and p,
+    None when not given.  Returns the join-family parameters (else None)
+    and the report."""
+    claim = CLAIMS.get(theorem_id)
+    if claim is None or claim.command != command:
+        ids = " ".join(tid for tid, c in CLAIMS.items() if c.command == command)
+        raise ParameterError(f"unknown {command} claim {theorem_id!r}; choose from {ids}")
+    if claim.needs_second and second is None:
+        raise ParameterError(f"{command} {theorem_id} needs a second graph (--in2)")
+    kwargs = {param: options[opt] for param, opt in claim.options.items()
+              if options.get(opt) is not None}
+    graphs = (G, second) if claim.needs_second else (G,)
+    out = claim.check(*graphs, eps=claim.eps if eps is None else eps, **kwargs)
+    return out if isinstance(out, tuple) else (None, out)
 
 
 def run_check(theorem_id: str, G: Graph, k: int | None = None,
               second: Graph | None = None, eps: float | None = None) -> TheoremReport:
-    """Run one registered claim check by identifier (the `verify` vocabulary)."""
-    if theorem_id in ENERGY_IDENTITY_IDS:
-        return check_energy_identity(theorem_id, G, k=k, eps=eps if eps is not None else EPS_ENERGY)
-    if theorem_id in COSPECTRALITY_IDS:
-        return check_cospectrality_family(theorem_id, G, k=k if k is not None else _default_k(theorem_id),
-                                          second=second,
-                                          eps=eps if eps is not None else EPS_SPECTRUM)
-    e_spec = eps if eps is not None else EPS_SPECTRUM
-    if theorem_id == "2.4":
-        return check_edc_adjacency_spectrum(G, e_spec)
-    if theorem_id == "2.5":
-        return check_kfold_adjacency_spectrum(G, k if k is not None else 2, e_spec)
-    if theorem_id == "3.2":
-        return check_edc_laplacian_spectrum(G, e_spec)
-    if theorem_id == "3.3":
-        return check_iterated_edc_laplacian_spectrum(G, k if k is not None else 2, e_spec)
-    if theorem_id == "3.5":
-        return check_edc_spanning_trees(G, eps if eps is not None else EPS_TREES)
-    if theorem_id == "3.7":
-        return check_laplacian_integrality_iteration(G, k if k is not None else 1)
-    if theorem_id == "4.1":
-        return check_kfold_laplacian_spectrum(G, k if k is not None else 2, e_spec)
-    if theorem_id == "4.2":
-        return check_le_doubling(G, eps if eps is not None else EPS_ENERGY)
-    if theorem_id == "4.kfold-le":
-        return kfold_le_formula(G, k if k is not None else 2, eps if eps is not None else EPS_ENERGY)
-    raise ParameterError(f"unknown theorem id {theorem_id!r}; choose from {CHECK_IDS}")
-
-
-def _default_k(theorem_id: str) -> int:
-    return {"3.6": 1, "3.8": 1, "3.chain": 2}.get(theorem_id, 2)
+    """Run one `verify` claim by ID."""
+    return run_claim("verify", theorem_id, G, second, eps, k=k)[1]

@@ -48,12 +48,12 @@ from equigraph.spectra import (
 )
 from equigraph.theorems import (
     VERDICT_CONFIRMED,
-    check_energy_identity,
     check_le_doubling,
     family_cartesian,
     family_join_edc,
     family_join_kfold,
     family_mixed,
+    run_check,
     smallest_feasible_edc_join_slack,
     smallest_feasible_kfold_join_slack,
 )
@@ -182,7 +182,7 @@ def test_criterion_06_energy_identities():
                complete_bipartite(2, 4)]
     confirmed_28 = 0
     for G in pool_28:
-        r = check_energy_identity("2.8", G)
+        r = run_check("2.8", G)
         if r.hypotheses_met:
             assert r.verdict == VERDICT_CONFIRMED
             confirmed_28 += 1
@@ -193,12 +193,12 @@ def test_criterion_06_energy_identities():
     pool_29 = (cycle(6), complete(2), hypercube(3), disjoint_union(cycle(6), complete(2)),
                complete_bipartite(2, 2), complete_bipartite(3, 3))
     for G in pool_29:
-        r = check_energy_identity("2.9", G)
+        r = run_check("2.9", G)
         if r.hypotheses_met:
             assert r.verdict == VERDICT_CONFIRMED
             confirmed_29 += 1
     assert confirmed_29 >= 4
-    r = check_energy_identity("2.9", cycle(4))
+    r = run_check("2.9", cycle(4))
     assert not r.hypotheses_met
     assert abs(r.computed[0] - r.computed[1]) > 1e-3  # energies genuinely differ
     report(6, f"fold/tensor energy scaling on 100 random graphs, "

@@ -7,11 +7,14 @@ command path.  Regenerate after an intentional change with:
 """
 
 import os
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from equigraph.cli import main
+from equigraph.theorems import CLAIMS
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -144,6 +147,41 @@ class TestExitCodes:
         assert main(["verify", "--in", "k3.el", "--theorem", "3.3", "--k", "3"]) == 1
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--in", "k2.el", "--theorem", "2.5", "--k", "5"],
+        ["verify", "--in", "k2.el", "--theorem", "2.7", "--k", "8"],
+        ["verify", "--in", "k2.el", "--theorem", "4.1", "--k", "5"],
+        ["verify", "--in", "k2.el", "--theorem", "4.kfold-le", "--k", "5"],
+        ["construct", "--in", "k2.el", "--op", "kfold", "--k", "5", "--out", "graph6"],
+        ["construct", "--in", "k2.el", "--op", "edc^k", "--k", "4", "--out", "graph6"],
+        *(["construct", "--in", "k3.el", "--op", "edc", "--with", "k3.el", "--op2", op, "--out", "graph6"]
+          for op in ("join", "cartesian", "kronecker", "union")),
+    ])
+    def test_cap_refuses_folds_iterations_and_products(self, argv, monkeypatch, capsys):
+        monkeypatch.chdir(DATA_DIR)
+        monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "8")
+        assert main(argv) == 1
+        assert "above the cap of 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--in", "k3.el", "--theorem", "3.7", "--k", "1000000"],
+        ["construct", "--in", "k3.el", "--op", "edc^k", "--k", "1000000", "--out", "graph6"],
+        ["family", "--theorem", "4.4", "--in", "k3.el", "--p", "9", "--t", "1000000"],
+    ])
+    def test_cap_refuses_a_huge_iteration_count_unexpanded(self, argv, monkeypatch, capsys):
+        monkeypatch.chdir(DATA_DIR)
+        assert main(argv) == 1
+        assert "needs 3 * 2**1000000 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--in", "k3.el", "--theorem", "3.7", "--k", "-1"],
+        ["verify", "--in", "c4.el", "--theorem", "3.8", "--in2", "c4.el", "--k", "-1"],
+    ])
+    def test_negative_iteration_count_is_1(self, argv, monkeypatch, capsys):
+        monkeypatch.chdir(DATA_DIR)
+        assert main(argv) == 1
+        assert "must be nonnegative" in capsys.readouterr().err
+
 
 class TestConstructOutput:
     def test_edc_of_k2_is_c4(self, monkeypatch, capsys):
@@ -160,3 +198,25 @@ class TestConstructOutput:
         second = capsys.readouterr().out
         payload = [ln for ln in first.splitlines() if "payload" in ln]
         assert payload and payload == [ln for ln in second.splitlines() if "payload" in ln]
+
+
+def test_energy_solves_its_matrix_once(monkeypatch, capsys):
+    monkeypatch.chdir(DATA_DIR)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: shapes.append(M.shape) or eigvalsh(M))
+    assert main(["energy", "--in", "k3.el", "--kind", "le"]) == 0
+    assert shapes == [(3, 3)]
+    capsys.readouterr()
+
+
+def test_readme_and_help_list_the_claim_table(monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    ids = {cmd: [tid for tid, claim in CLAIMS.items() if claim.command == cmd]
+           for cmd in ("verify", "family")}
+    assert re.search(r"`verify` IDs: `([^`]*)`", readme).group(1).split() == ids["verify"]
+    assert re.search(r"family +--theorem \{([^}]*)\}", readme).group(1).split("|") == ids["family"]
+    monkeypatch.setenv("COLUMNS", "500")  # argparse wraps help text at hyphens
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "claim ID: " + " ".join(ids["verify"]) in capsys.readouterr().out

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from equigraph.errors import ParameterError, ValidationError
 from equigraph.graphs import (
     Graph,
-    LoopyMatrix,
     build_named,
     cartesian_product,
     complement,
@@ -274,8 +273,7 @@ class TestKFold:
     def test_kfold_matrix_identity(self, G, k):
         D = k_fold(G, k)
         assert D.m == k * k * G.m
-        J = np.array(LoopyMatrix.all_ones(k).entries)
-        assert np.array_equal(adjacency_array(D), np.kron(adjacency_array(G), J))
+        assert np.array_equal(adjacency_array(D), np.kron(adjacency_array(G), np.ones((k, k))))
 
 
 class TestLineGraph:
@@ -290,20 +288,6 @@ class TestLineGraph:
         L = line_graph(G)
         assert L.n == 9 * 4 // 2
         assert is_regular(L) and L.degrees()[0] == 2 * 4 - 2
-
-
-class TestLoopyMatrix:
-    def test_all_ones(self):
-        T = LoopyMatrix.all_ones(3)
-        assert T.order == 3 and all(all(x == 1 for x in row) for row in T.entries)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError):
-            LoopyMatrix(2, ((0, 1), (0, 0)))
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValidationError):
-            LoopyMatrix(1, ((2,),))
 
 
 class TestEmptyGraphPropagation:

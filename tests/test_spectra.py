@@ -336,12 +336,10 @@ class TestProductAndJoinSpectra:
             assert spectra_equal(predict_product_spectrum(G1, G2, "kronecker", "adjacency"),
                                  spectrum_of(P, "adjacency"), 1e-8)
 
-    def test_kronecker_laplacian_rule_is_per_instance_only(self):
-        # exposed for experiments; already wrong on the smallest product
-        K2 = complete(2)
-        predicted = predict_product_spectrum(K2, K2, "kronecker", "laplacian")
-        direct = spectrum_of(kronecker_product(K2, K2), "laplacian")
-        assert not spectra_equal(predicted, direct, 1e-6)
+    def test_kronecker_laplacian_rule_is_rejected(self):
+        # the product rule does not hold for Laplacian spectra, already on K_2 x K_2
+        with pytest.raises(ParameterError):
+            predict_product_spectrum(complete(2), complete(2), "kronecker", "laplacian")
 
     def test_join_rule(self):
         rng = np.random.default_rng(59)

@@ -42,12 +42,10 @@ from equigraph.spectra import (
     spectrum_of,
 )
 from equigraph.theorems import (
-    CHECK_IDS,
+    CLAIMS,
     VERDICT_CONFIRMED,
     VERDICT_DEVIATION,
     VERDICT_HYPOTHESIS_NOT_MET,
-    check_cospectrality_family,
-    check_energy_identity,
     check_le_doubling,
     family_cartesian,
     family_join_edc,
@@ -184,7 +182,7 @@ class TestReportMechanics:
 
     def test_all_registered_ids_run(self):
         G = path(3)
-        for tid in CHECK_IDS:
+        for tid in (t for t, claim in CLAIMS.items() if claim.command == "verify"):
             second = cycle(4) if tid == "3.8" else None
             report = run_check(tid, G, second=second)
             assert report.verdict in (VERDICT_CONFIRMED, VERDICT_HYPOTHESIS_NOT_MET)
@@ -192,44 +190,44 @@ class TestReportMechanics:
 
 class TestEnergyIdentities:
     def test_tensor_vs_double(self):
-        r = check_energy_identity("2.6", complete(3))
+        r = run_check("2.6", complete(3))
         assert r.verdict == VERDICT_CONFIRMED
         assert all(abs(v - 8.0) <= 1e-7 for v in r.computed)
         assert not r.details["cospectral"]
 
     def test_tensor_power_vs_kfold_iff(self):
-        r = check_energy_identity("2.7", complete(3), k=4)
+        r = run_check("2.7", complete(3), k=4)
         assert r.verdict == VERDICT_CONFIRMED and r.details["s"] == 2
-        r = check_energy_identity("2.7", complete(3), k=3)
+        r = run_check("2.7", complete(3), k=3)
         assert r.predicted[-1] == 0.0 and r.computed[-1] == 0.0
 
     def test_cover_square_condition_met(self):
-        r = check_energy_identity("2.8", complete_bipartite(2, 2))
+        r = run_check("2.8", complete_bipartite(2, 2))
         assert r.verdict == VERDICT_CONFIRMED
         assert r.details["theta"] == 2
 
     def test_cover_square_condition_fails(self):
-        r = check_energy_identity("2.8", complete(3))
+        r = run_check("2.8", complete(3))
         assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
 
     def test_bipartite_cover_vs_double(self):
-        r = check_energy_identity("2.9", cycle(6))
+        r = run_check("2.9", cycle(6))
         assert r.verdict == VERDICT_CONFIRMED
-        r = check_energy_identity("2.9", cycle(4))
+        r = run_check("2.9", cycle(4))
         assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
         assert abs(r.computed[0] - 12.0) <= 1e-7 and abs(r.computed[1] - 8.0) <= 1e-7
 
     def test_cover_energy_formula(self):
-        r = check_energy_identity("2.edc-energy", complete(3))
+        r = run_check("2.edc-energy", complete(3))
         assert r.verdict == VERDICT_CONFIRMED and abs(r.computed[0] - 6.0) <= 1e-7
 
     def test_tensor_cartesian_doubling(self):
-        r = check_energy_identity("2.kron-cart", complete(3))
+        r = run_check("2.kron-cart", complete(3))
         assert r.verdict == VERDICT_CONFIRMED
 
     def test_unknown_identity(self):
         with pytest.raises(ParameterError):
-            check_energy_identity("2.z", complete(2))
+            run_check("2.z", complete(2))
 
     def test_energy_scaling_random(self):
         rng = np.random.default_rng(109)
@@ -249,45 +247,45 @@ class TestEnergyIdentities:
             lam = spectrum_of(G, "adjacency").values
             if not all(abs(v) >= 1 - 1e-9 for v in lam):
                 continue
-            r = check_energy_identity("2.9", G)
+            r = run_check("2.9", G)
             assert r.verdict == VERDICT_CONFIRMED
 
 
 class TestCospectralityChecks:
     def test_cover_vs_prism(self):
-        assert check_cospectrality_family("3.6", path(3)).verdict == VERDICT_CONFIRMED
-        assert check_cospectrality_family("3.6", complete(3)).verdict == VERDICT_CONFIRMED
-        r = check_cospectrality_family("3.6", complete(3))
+        assert run_check("3.6", path(3)).verdict == VERDICT_CONFIRMED
+        assert run_check("3.6", complete(3)).verdict == VERDICT_CONFIRMED
+        r = run_check("3.6", complete(3))
         assert r.predicted == (0.0,) and r.computed == (0.0,)
 
     def test_iterated_pair(self):
         # L-cospectral pair: a graph and itself; non-pair: different spectra
-        r = check_cospectrality_family("3.8", cycle(4), k=2, second=cycle(4))
+        r = run_check("3.8", cycle(4), k=2, second=cycle(4))
         assert r.verdict == VERDICT_CONFIRMED and r.predicted == (1.0,)
-        r = check_cospectrality_family("3.8", cycle(4), k=2, second=complete(4))
+        r = run_check("3.8", cycle(4), k=2, second=complete(4))
         assert r.verdict == VERDICT_CONFIRMED and r.predicted == (0.0,)
 
     def test_iterated_pair_needs_second(self):
         with pytest.raises(ParameterError):
-            check_cospectrality_family("3.8", cycle(4))
+            run_check("3.8", cycle(4))
 
     def test_chain_bipartite(self):
-        r = check_cospectrality_family("3.chain", complete(2), k=2)
+        r = run_check("3.chain", complete(2), k=2)
         assert r.verdict == VERDICT_CONFIRMED
         assert r.details["member_orders"] == [8, 8, 8, 8]
 
     def test_chain_requires_bipartite(self):
-        r = check_cospectrality_family("3.chain", complete(3), k=2)
+        r = run_check("3.chain", complete(3), k=2)
         assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
 
     def test_random_bipartite_vs_nonbipartite(self):
         rng = np.random.default_rng(113)
         for _ in range(10):
             B = random_bipartite_graph(rng, int(rng.integers(2, 8)))
-            r = check_cospectrality_family("3.6", B)
+            r = run_check("3.6", B)
             assert r.computed == (1.0,) and r.verdict == VERDICT_CONFIRMED
             N = random_nonbipartite_graph(rng, int(rng.integers(3, 8)))
-            r = check_cospectrality_family("3.6", N)
+            r = run_check("3.6", N)
             assert r.computed == (0.0,) and r.verdict == VERDICT_CONFIRMED
 
 
@@ -304,6 +302,11 @@ class TestTreesAndIntegrality:
         r = run_check("3.7", paw, k=1)
         assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
         assert r.predicted == (1.0,) and r.computed == (0.0,)
+
+    def test_integrality_iteration_uses_the_given_eps(self):
+        # signless Laplacian of P_4: 0, 2 - sqrt2, 2, 2 + sqrt2; off integers by 0.41
+        assert not run_check("3.7", path(4)).details["q_integral"]
+        assert run_check("3.7", path(4), eps=0.5).details["q_integral"]
 
 
 class TestLeChecks:
