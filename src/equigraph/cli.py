@@ -27,7 +27,7 @@ from .graphs import (
     kronecker_product,
     line_graph,
 )
-from .predict import check_cap
+from .limits import check_cap
 from .reports import make_report, payload_digest, render_report
 from .spectra import (
     edc_spanning_trees_formula,
@@ -58,14 +58,23 @@ def _k_fold(G: Graph, k: int | None) -> Graph:
     return k_fold(G, k)
 
 
+def _capped(what: str, order, build):
+    """A unary op without --k that refuses a result above the vertex cap,
+    of order(G) vertices, before building it."""
+    def op(G: Graph, k: int | None) -> Graph:
+        check_cap(order(G), what)
+        return build(G)
+    return op
+
+
 # --op -> builder(G, k), with k None when --k is not given
 UNARY_OPS = {
-    "edc": lambda G, k: extended_double_cover(G),
+    "edc": _capped("extended double cover", lambda G: 2 * G.n, lambda G: extended_double_cover(G)),
     "edc^k": _iterated_edc,
-    "double": lambda G, k: double_graph(G),
+    "double": _capped("double graph", lambda G: 2 * G.n, lambda G: double_graph(G)),
     "kfold": _k_fold,
-    "line": lambda G, k: line_graph(G),
-    "complement": lambda G, k: complement(G),
+    "line": _capped("line graph", lambda G: G.m, lambda G: line_graph(G)),
+    "complement": lambda G, k: complement(G),  # as many vertices as the input, capped at parse
 }
 
 # --op2 -> builder(G1, G2); the products have n1 * n2 vertices, the others n1 + n2

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError, ParseError, ValidationError
 from .graphs import Graph
+from .limits import check_cap
 
 FORMATS = ("graph6", "edgelist")
 
@@ -76,6 +79,7 @@ def decode_edgelist(text: str) -> Graph:
         raise ParseError(f"line {lineno}: header must be two integers, got {header!r}") from exc
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: negative counts in header {header!r}")
+    check_cap(n, "edge-list graph")
     if len(rows) - 1 != m:
         raise ParseError(f"header promises {m} edges but document has {len(rows) - 1} edge lines")
     edges = set()
@@ -95,13 +99,18 @@ def decode_edgelist(text: str) -> Graph:
         if key in edges:
             raise ValidationError(f"line {lineno}: duplicate edge {key}")
         edges.add(key)
-    return Graph(n, frozenset(edges))
+    A = np.zeros((n, n), dtype=bool)
+    if edges:
+        u, v = np.array(list(edges)).T
+        A[u, v] = A[v, u] = True
+    return Graph._from_array(A)
 
 
 def encode_edgelist(G: Graph) -> str:
-    lines = [f"{G.n} {G.m}"]
-    lines += [f"{u} {v}" for u, v in sorted(G.edges)]
-    return "\n".join(lines) + "\n"
+    """Header, then one "u v" line per edge in sorted order."""
+    u, v = G.edge_arrays()
+    ends = np.column_stack((u, v)).ravel().tolist()
+    return f"{G.n} {G.m}\n" + "%d %d\n" * u.size % tuple(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +118,15 @@ def encode_edgelist(G: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def encode_graph6(G: Graph) -> str:
+    """N(n), then bit (i, j) for 0 <= i < j < n in column order (j outer),
+    six bits per byte, offset by 63.  Column order of the upper triangle is
+    row order of the lower one, and the array is symmetric."""
     n = G.n
-    out = _encode_g6_order(n)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in G.edges else 0)
-    for base in range(0, len(bits), 6):
-        group = bits[base:base + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out += chr(val + 63)
-    return out
+    bits = G.adjacency[np.tri(n, k=-1, dtype=bool)]
+    groups = np.zeros(-(-bits.size // 6) * 6, dtype=bool)
+    groups[:bits.size] = bits
+    body = (np.packbits(groups.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
+    return _encode_g6_order(n) + body.tobytes().decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:
@@ -133,28 +137,29 @@ def decode_graph6(text: str) -> Graph:
         raise ParseError("empty graph6 document")
     if "\n" in s:
         raise ParseError("graph6 payload must be a single line")
-    for pos, ch in enumerate(s):
-        if not _G6_MIN <= ord(ch) <= _G6_MAX:
-            raise ParseError(f"byte {pos}: character {ch!r} outside graph6 range")
+    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    bad = (codes < _G6_MIN) | (codes > _G6_MAX)
+    if bad.any():
+        pos = int(bad.argmax())
+        raise ParseError(f"byte {pos}: character {s[pos]!r} outside graph6 range")
     n, body = _decode_g6_order(s)
-    need = (n * (n - 1) // 2 + 5) // 6
+    check_cap(n, "graph6 graph")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    nbits = n * (n - 1) // 2
-    if any(bits[nbits:]):
+    groups = (codes[len(s) - need:] - 63).astype(np.uint8) << 2
+    bits = np.unpackbits(groups[:, None], axis=1)[:, :6].ravel()
+    if bits[nbits:].any():
         raise ParseError("nonzero padding bits in graph6 body")
-    edges = set()
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.add((i, j))
-            idx += 1
-    return Graph(n, frozenset(edges))
+    # bit k is (i, j) with j(j-1)/2 <= k < j(j+1)/2 and i = k - j(j-1)/2
+    k = np.flatnonzero(bits)
+    starts = np.arange(n) * (np.arange(n) - 1) // 2
+    j = np.searchsorted(starts, k, side="right") - 1
+    i = k - starts[j]
+    A = np.zeros((n, n), dtype=bool)
+    A[i, j] = A[j, i] = True
+    return Graph._from_array(A)
 
 
 def _encode_g6_order(n: int) -> str:

@@ -1,7 +1,9 @@
 """Immutable simple-graph type, named families, and graph constructions.
 
-Vertices are always labelled 0..n-1.  Every constructor fixes a vertex
-ordering explicitly so that matrix identities hold literally:
+A graph is one read-only n x n boolean adjacency array, and every
+construction is the matrix identity its docstring states.  Vertices are
+always labelled 0..n-1, and each constructor fixes a vertex ordering
+explicitly so that the identities hold literally:
 
   * extended double cover: first class keeps labels 0..n-1, the mirror
     class gets n..2n-1;
@@ -12,34 +14,43 @@ ordering explicitly so that matrix identities hold literally:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from collections import deque
+import numpy as np
 
 from .errors import ParameterError, ValidationError
+from .limits import check_cap
 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected labelled graph on vertices 0..n-1.
 
-    Edges are stored as a frozenset of (u, v) pairs with u < v; no loops,
-    no duplicates.  Instances are immutable and hashable; every operation
-    in this module is a pure function.
+    `adjacency` is the canonical read-only n x n boolean array: symmetric,
+    zero diagonal.  `m`, `edges` (a frozenset of (u, v) pairs with u < v),
+    the degrees and the neighbour sets are views derived from it.
+    Instances are immutable and hashable, equal when their arrays are;
+    every operation in this module is a pure function.
     """
 
-    n: int
-    edges: frozenset[Edge]
+    __slots__ = ("n", "adjacency", "_deg")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValidationError(f"vertex count must be a nonnegative integer, got {self.n!r}")
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise ValidationError(f"edge {e} invalid for n={self.n} (need 0 <= u < v < n)")
+    def __init__(self, n: int, edges):
+        if not isinstance(n, int) or n < 0:
+            raise ValidationError(f"vertex count must be a nonnegative integer, got {n!r}")
+        check_cap(n, "graph")
+        pairs = np.array(list(edges))
+        if pairs.size == 0:
+            pairs = np.zeros((0, 2), dtype=np.int64)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValidationError("edges must be pairs of integer vertex labels")
+        u, v = pairs[:, 0], pairs[:, 1]
+        bad = (u < 0) | (u >= v) | (v >= n)
+        if bad.any():
+            e = tuple(pairs[bad.argmax()].tolist())
+            raise ValidationError(f"edge {e} invalid for n={n} (need 0 <= u < v < n)")
+        A = np.zeros((n, n), dtype=bool)
+        A[u, v] = A[v, u] = True
+        self._init(A)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -49,28 +60,89 @@ class Graph:
             if u == v:
                 raise ValidationError(f"loop at vertex {u} not allowed")
             norm.add((min(u, v), max(u, v)))
-        return cls(n, frozenset(norm))
+        return cls(n, norm)
+
+    @classmethod
+    def _from_array(cls, A: np.ndarray) -> "Graph":
+        """Adopt a square, symmetric, zero-diagonal boolean array.  It is not
+        copied but made read-only, so the caller must hold no other writable
+        reference to it."""
+        A = np.asarray(A, dtype=bool)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValidationError(f"adjacency must be a square array, got shape {A.shape}")
+        if np.count_nonzero(A.diagonal()):
+            raise ValidationError(f"loop at vertex {int(A.diagonal().argmax())} not allowed")
+        if not _is_symmetric(A):
+            raise ValidationError("adjacency array is not symmetric")
+        G = object.__new__(cls)
+        G._init(A)
+        return G
+
+    def _init(self, A: np.ndarray) -> None:
+        A.flags.writeable = False
+        object.__setattr__(self, "n", A.shape[0])
+        object.__setattr__(self, "adjacency", A)
+        object.__setattr__(self, "_deg", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int(self._degree_array().sum()) // 2
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        u, v = self.edge_arrays()
+        return frozenset(zip(u.tolist(), v.tolist()))
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints u < v of every edge as two int arrays, in sorted order:
+        the nonzeros of the upper triangle of the adjacency array, row by row."""
+        u, v = np.divmod(np.flatnonzero(self.adjacency), self.n)
+        upper = u < v
+        return u[upper], v[upper]
+
+    def _degree_array(self) -> np.ndarray:
+        if self._deg is None:  # computed once, on first use
+            object.__setattr__(self, "_deg", np.count_nonzero(self.adjacency, axis=1))
+        return self._deg
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return self._degree_array().tolist()
 
     def adjacency_sets(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return [set(np.flatnonzero(row).tolist()) for row in self.adjacency]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency[u, v])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
+
+    def __hash__(self) -> int:
+        return hash((self.n, np.packbits(self.adjacency).tobytes()))
+
+    def __reduce__(self):
+        return Graph._from_array, (self.adjacency.copy(),)
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+
+
+_TILE = 256
+
+
+def _is_symmetric(A: np.ndarray) -> bool:
+    """A == A.T, compared tile by tile above one tile: a whole-array
+    transpose of a large boolean array is several times slower."""
+    n = A.shape[0]
+    if n <= _TILE:
+        return A.tobytes() == A.T.tobytes()
+    return all(A[i:i + _TILE, j:j + _TILE].tobytes() == A[j:j + _TILE, i:i + _TILE].T.tobytes()
+               for i in range(0, n, _TILE) for j in range(i, n, _TILE))
 
 
 # ---------------------------------------------------------------------------
@@ -78,31 +150,39 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 def complete(n: int) -> Graph:
+    """J - I."""
     _positive(n, "complete")
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    return Graph._from_array(~np.eye(n, dtype=bool))
 
 
 def empty(n: int) -> Graph:
     _positive(n, "empty")
-    return Graph(n, frozenset())
+    return Graph._from_array(np.zeros((n, n), dtype=bool))
 
 
 def complete_bipartite(q: int, r: int) -> Graph:
+    """[[0, J], [J, 0]] with blocks of q and r vertices."""
     _positive(q, "complete_bipartite")
     _positive(r, "complete_bipartite")
-    return Graph.from_edges(q + r, ((i, q + j) for i in range(q) for j in range(r)))
+    A = np.zeros((q + r, q + r), dtype=bool)
+    A[:q, q:] = A[q:, :q] = True
+    return Graph._from_array(A)
 
 
 def path(n: int) -> Graph:
+    """i ~ i + 1."""
     _positive(n, "path")
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph._from_array(np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool))
 
 
 def cycle(n: int) -> Graph:
+    """i ~ i + 1 mod n."""
     _positive(n, "cycle")
     if n < 3:
         raise ParameterError(f"cycle needs at least 3 vertices, got {n}")
-    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    A = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    A[0, n - 1] = A[n - 1, 0] = True
+    return Graph._from_array(A)
 
 
 def hypercube(s: int) -> Graph:
@@ -110,7 +190,11 @@ def hypercube(s: int) -> Graph:
     if s < 0:
         raise ParameterError(f"hypercube dimension must be nonnegative, got {s}")
     n = 1 << s
-    return Graph.from_edges(n, ((i, i ^ (1 << b)) for i in range(n) for b in range(s) if i < i ^ (1 << b)))
+    i = np.arange(n)
+    A = np.zeros((n, n), dtype=bool)
+    for b in range(s):
+        A[i, i ^ (1 << b)] = True
+    return Graph._from_array(A)
 
 
 def build_named(family: str, params: list[int]) -> Graph:
@@ -140,26 +224,29 @@ def _positive(x: int, name: str) -> None:
 # structural predicates
 # ---------------------------------------------------------------------------
 
+def _bfs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component index and breadth-first depth of every vertex; components
+    are numbered in the order of their smallest vertex."""
+    n = A.shape[0]
+    comp = np.full(n, -1)
+    depth = np.zeros(n, dtype=np.int64)
+    c = 0
+    while (unseen := np.flatnonzero(comp < 0)).size:
+        frontier = unseen[:1]
+        d = 0
+        while frontier.size:
+            comp[frontier] = c
+            depth[frontier] = d
+            frontier = np.flatnonzero(A[frontier].any(axis=0) & (comp < 0))
+            d += 1
+        c += 1
+    return comp, depth
+
+
 def connected_components(G: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted ascending."""
-    adj = G.adjacency_sets()
-    seen = [False] * G.n
-    comps = []
-    for start in range(G.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    comp, _ = _bfs(G.adjacency)
+    return [np.flatnonzero(comp == c).tolist() for c in range(comp.max(initial=-1) + 1)]
 
 
 def is_connected(G: Graph) -> bool:
@@ -167,28 +254,17 @@ def is_connected(G: Graph) -> bool:
 
 
 def is_bipartite(G: Graph) -> bool:
-    """True iff the vertex set 2-colours properly (vacuously true for n=0)."""
-    adj = G.adjacency_sets()
-    color = [-1] * G.n
-    for start in range(G.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+    """True iff the vertex set 2-colours properly (vacuously true for n=0):
+    breadth-first depth parity is the colouring, and no edge may join two
+    vertices of the same parity."""
+    A = G.adjacency
+    odd = _bfs(A)[1] % 2 == 1
+    return not (A[np.ix_(odd, odd)].any() or A[np.ix_(~odd, ~odd)].any())
 
 
 def is_regular(G: Graph) -> bool:
-    deg = G.degrees()
-    return len(set(deg)) <= 1
+    deg = G._degree_array()
+    return deg.size == 0 or deg.min() == deg.max()
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +272,19 @@ def is_regular(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def complement(G: Graph) -> Graph:
-    all_pairs = set(itertools.combinations(range(G.n), 2))
-    return Graph(G.n, frozenset(all_pairs - G.edges))
+    """not A, with a zero diagonal."""
+    C = ~G.adjacency
+    np.fill_diagonal(C, False)
+    return Graph._from_array(C)
 
 
 def disjoint_union(G1: Graph, G2: Graph) -> Graph:
-    """Union with the labels of G2 shifted up by n1."""
-    shifted = {(u + G1.n, v + G1.n) for u, v in G2.edges}
-    return Graph(G1.n + G2.n, G1.edges | frozenset(shifted))
+    """blockdiag(A1, A2): the labels of G2 shifted up by n1."""
+    n1 = G1.n
+    C = np.zeros((n1 + G2.n, n1 + G2.n), dtype=bool)
+    C[:n1, :n1] = G1.adjacency
+    C[n1:, n1:] = G2.adjacency
+    return Graph._from_array(C)
 
 
 def copies(G: Graph, k: int) -> Graph:
@@ -216,48 +297,42 @@ def copies(G: Graph, k: int) -> Graph:
 
 
 def join(G1: Graph, G2: Graph) -> Graph:
-    """All edges of both graphs plus every cross pair."""
-    base = disjoint_union(G1, G2)
-    cross = {(u, G1.n + v) for u in range(G1.n) for v in range(G2.n)}
-    return Graph(base.n, base.edges | frozenset(cross))
+    """[[A1, J], [J, A2]]: the disjoint union plus every cross pair."""
+    n1 = G1.n
+    C = disjoint_union(G1, G2).adjacency.copy()
+    C[:n1, n1:] = C[n1:, :n1] = True
+    return Graph._from_array(C)
 
 
 def cartesian_product(G1: Graph, G2: Graph) -> Graph:
-    """Equal in one coordinate, adjacent in the other; (u, v) -> u*n2 + v."""
-    n2 = G2.n
-    edges = set()
-    for u in range(G1.n):
-        for a, b in G2.edges:
-            edges.add((u * n2 + a, u * n2 + b))
-    for u, v in G1.edges:
-        for a in range(n2):
-            edges.add((u * n2 + a, v * n2 + a))
-    return Graph.from_edges(G1.n * n2, edges)
+    """A1 (x) I + I (x) A2: equal in one coordinate, adjacent in the other;
+    (u, v) -> u*n2 + v."""
+    n1, n2 = G1.n, G2.n
+    C = np.zeros((n1, n2, n1, n2), dtype=bool)
+    v = np.arange(n2)
+    C[:, v, :, v] = G1.adjacency
+    u = np.arange(n1)
+    C[u, :, u, :] = G2.adjacency
+    return Graph._from_array(C.reshape(n1 * n2, n1 * n2))
 
 
 def kronecker_product(G1: Graph, G2: Graph) -> Graph:
-    """Adjacent in both coordinates; (u, v) -> u*n2 + v."""
-    n2 = G2.n
-    edges = set()
-    for u, v in G1.edges:
-        for a, b in G2.edges:
-            edges.add((u * n2 + a, v * n2 + b))
-            edges.add((u * n2 + b, v * n2 + a))
-    return Graph.from_edges(G1.n * n2, edges)
+    """A1 (x) A2: adjacent in both coordinates; (u, v) -> u*n2 + v."""
+    return Graph._from_array(np.kron(G1.adjacency, G2.adjacency))
 
 
 def extended_double_cover(G: Graph) -> Graph:
-    """Bipartite mirror: classes {0..n-1} and {n..2n-1}, i ~ n+j iff i=j or i~j.
+    """[[0, A+I], [A+I, 0]]: bipartite mirror with classes {0..n-1} and
+    {n..2n-1}, i ~ n+j iff i=j or i~j.
 
     The result always contains the perfect matching {i, n+i} and vertex i
     has degree deg_G(i) + 1 on both sides.
     """
     n = G.n
-    edges = {(i, n + i) for i in range(n)}
-    for u, v in G.edges:
-        edges.add((u, n + v))
-        edges.add((v, n + u))
-    return Graph.from_edges(2 * n, edges)
+    B = G.adjacency | np.eye(n, dtype=bool)
+    C = np.zeros((2 * n, 2 * n), dtype=bool)
+    C[:n, n:] = C[n:, :n] = B
+    return Graph._from_array(C)
 
 
 def iterated_edc(G: Graph, k: int) -> Graph:
@@ -271,20 +346,13 @@ def iterated_edc(G: Graph, k: int) -> Graph:
 
 
 def k_fold(G: Graph, k: int) -> Graph:
-    """k interleaved copies, each vertex joined to the neighbours of its
-    counterparts in every copy (copies of one vertex stay non-adjacent).
-
-    With copy a of vertex u labelled u*k + a the adjacency matrix equals
-    the Kronecker product of A(G) with the all-ones k x k matrix.
+    """A (x) J_k: k interleaved copies, each vertex joined to the neighbours
+    of its counterparts in every copy (copies of one vertex stay
+    non-adjacent).  Copy a of vertex u is labelled u*k + a.
     """
     if k < 1:
         raise ParameterError(f"fold count must be positive, got {k}")
-    edges = set()
-    for u, v in G.edges:
-        for a in range(k):
-            for b in range(k):
-                edges.add((u * k + a, v * k + b))
-    return Graph.from_edges(G.n * k, edges)
+    return Graph._from_array(np.repeat(np.repeat(G.adjacency, k, axis=0), k, axis=1))
 
 
 def double_graph(G: Graph) -> Graph:
@@ -292,10 +360,14 @@ def double_graph(G: Graph) -> Graph:
 
 
 def line_graph(G: Graph) -> Graph:
-    """Vertices are the edges of G (sorted order); adjacency = shared endpoint."""
-    es = sorted(G.edges)
-    out = set()
-    for (i, e1), (j, e2) in itertools.combinations(enumerate(es), 2):
-        if set(e1) & set(e2):
-            out.add((i, j))
-    return Graph.from_edges(len(es), out)
+    """Vertices are the edges of G (sorted order); adjacency = shared
+    endpoint, the off-diagonal support of B^T B for the n x m incidence
+    matrix B.  Each column of B has ones in rows u_i and v_i only, so row i
+    of B^T B is B[u_i] + B[v_i]."""
+    u, v = G.edge_arrays()
+    m = u.size
+    B = np.zeros((G.n, m), dtype=bool)
+    B[u, np.arange(m)] = B[v, np.arange(m)] = True
+    L = B[u] | B[v]
+    np.fill_diagonal(L, False)
+    return Graph._from_array(L)

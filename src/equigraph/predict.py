@@ -8,41 +8,11 @@ these predictions against direct eigencomputation on the built graphs.
 from __future__ import annotations
 
 import math
-import os
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .graphs import Graph, is_bipartite
+from .limits import check_cap, vertex_cap  # noqa: F401  (vertex_cap is re-exported)
 from .spectra import Spectrum, spectrum_of
-
-VERTEX_CAP_ENV = "EQUIGRAPH_MAX_VERTICES"
-DEFAULT_VERTEX_CAP = 4096
-
-
-def vertex_cap() -> int:
-    """Desk-scale limit on eigensolve sizes, overridable via environment."""
-    raw = os.environ.get(VERTEX_CAP_ENV)
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{VERTEX_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ParameterError(f"{VERTEX_CAP_ENV} must be positive, got {cap}")
-    return cap
-
-
-def check_cap(n: int, what: str, doublings: int = 0) -> None:
-    """Refuse a graph on n * 2**doublings vertices above the vertex cap; a
-    huge doublings count is refused without forming 2**doublings."""
-    if doublings < 0:
-        raise ParameterError(f"iteration count must be nonnegative, got {doublings}")
-    cap = vertex_cap()
-    huge = n > 0 and doublings > cap.bit_length()
-    order = f"{n} * 2**{doublings}" if huge else n << doublings
-    if huge or order > cap:
-        raise ResourceLimitError(f"{what} needs {order} vertices, above the cap of {cap} "
-                                 f"(raise {VERTEX_CAP_ENV} to override)")
 
 
 def predict_edc_a_spectrum(G: Graph) -> Spectrum:

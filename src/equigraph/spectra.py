@@ -39,6 +39,15 @@ class SymMatrix:
         M.flags.writeable = False
         object.__setattr__(self, "entries", M)
 
+    @classmethod
+    def _of_symmetric(cls, M: np.ndarray) -> "SymMatrix":
+        """Adopt a float array that is symmetric by construction, with no
+        re-check and no copy; it becomes read-only."""
+        M.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", M)
+        return out
+
     @property
     def order(self) -> int:
         return self.entries.shape[0]
@@ -89,16 +98,16 @@ class EnergyValue:
 # ---------------------------------------------------------------------------
 
 def matrix_of(G: Graph, kind: str) -> SymMatrix:
-    """Adjacency / Laplacian / signless Laplacian matrix of G, integer-valued."""
+    """Adjacency / Laplacian / signless Laplacian matrix of G, integer-valued:
+    A, D - A or D + A, built in one float64 array."""
     if kind not in MATRIX_KINDS:
         raise ParameterError(f"unknown matrix kind {kind!r}; choose from {MATRIX_KINDS}")
-    A = np.zeros((G.n, G.n))
-    for u, v in G.edges:
-        A[u, v] = A[v, u] = 1.0
-    if kind == "adjacency":
-        return SymMatrix(A)
-    D = np.diag(A.sum(axis=1)) if G.n else np.zeros((0, 0))
-    return SymMatrix(D - A if kind == "laplacian" else D + A)
+    A = G.adjacency
+    # 0 - A rather than -A: no negative zeros, so the entries match D - A bit for bit
+    M = np.subtract(0.0, A, dtype=np.float64) if kind == "laplacian" else A.astype(np.float64)
+    if kind != "adjacency":
+        M.flat[::G.n + 1] = G.degrees()
+    return SymMatrix._of_symmetric(M)
 
 
 def eigenvalues(M: SymMatrix) -> Spectrum:
@@ -200,15 +209,9 @@ def spanning_trees_exact(G: Graph) -> int:
     if G.n < 1:
         raise ParameterError("spanning trees undefined for the empty graph")
     n = G.n
-    deg = G.degrees()
-    minor = [[0] * (n - 1) for _ in range(n - 1)]
-    for i in range(n - 1):
-        minor[i][i] = deg[i]
-    for u, v in G.edges:
-        if u < n - 1 and v < n - 1:
-            minor[u][v] -= 1
-            minor[v][u] -= 1
-    return _bareiss_determinant(minor)
+    minor = np.subtract(0, G.adjacency[:n - 1, :n - 1], dtype=np.int64)
+    minor.flat[::n] = G.degrees()[:n - 1]
+    return _bareiss_determinant(minor.tolist())
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:
@@ -241,7 +244,11 @@ def edc_spanning_trees_formula(G: Graph) -> float:
     """
     if G.n < 1:
         raise ParameterError("spanning trees undefined for the empty graph")
-    tau = spanning_trees_exact(G)
+    return _edc_trees_from_base(G, spanning_trees_exact(G))
+
+
+def _edc_trees_from_base(G: Graph, tau: int) -> float:
+    """The cover's tree count from tau = tau(G), already known."""
     q = spectrum_of(G, "signless_laplacian").values
     return 0.5 * tau * float(np.prod([v + 2.0 for v in q]))
 

@@ -32,8 +32,8 @@ from .graphs import (
     k_fold,
     kronecker_product,
 )
+from .limits import check_cap
 from .predict import (
-    check_cap,
     predict_edc_a_spectrum,
     predict_edc_l_spectrum,
     predict_iterated_edc_l_spectrum,
@@ -42,9 +42,9 @@ from .predict import (
     predict_kfold_l_spectrum,
 )
 from .spectra import (
+    _edc_trees_from_base,
     energy,
     laplacian_energy,
-    edc_spanning_trees_formula,
     spanning_trees_eigen,
     spanning_trees_exact,
     is_laplacian_integral,
@@ -172,6 +172,11 @@ def _eig_signature_difference(G: Graph, eps: float) -> int:
     return sum(1 if v >= -eps else -1 for v in lam)
 
 
+def _check_cover_cap(G: Graph) -> None:
+    """Refuse a claim whose extended double cover (2n vertices) is above the cap."""
+    check_cap(G.n, "extended double cover", doublings=1)
+
+
 def _sum_degree_deviation(G: Graph) -> float:
     avg = 2.0 * G.m / G.n
     return sum(abs(d - avg) for d in G.degrees())
@@ -182,6 +187,7 @@ def _sum_degree_deviation(G: Graph) -> float:
 # ---------------------------------------------------------------------------
 
 def check_edc_adjacency_spectrum(G: Graph, eps: float = EPS_SPECTRUM) -> TheoremReport:
+    _check_cover_cap(G)
     predicted = predict_edc_a_spectrum(G)
     computed = spectrum_of(extended_double_cover(G), "adjacency")
     return make_report("2.4", {}, predicted.values, computed.values, eps)
@@ -194,6 +200,7 @@ def check_kfold_adjacency_spectrum(G: Graph, k: int = 2, eps: float = EPS_SPECTR
 
 
 def check_edc_laplacian_spectrum(G: Graph, eps: float = EPS_SPECTRUM) -> TheoremReport:
+    _check_cover_cap(G)
     predicted = predict_edc_l_spectrum(G)
     computed = spectrum_of(extended_double_cover(G), "laplacian")
     return make_report("3.2", {}, predicted.values, computed.values, eps)
@@ -221,6 +228,7 @@ def check_kfold_laplacian_spectrum(G: Graph, k: int = 2, eps: float = EPS_SPECTR
 
 def check_tensor_k2_vs_double_energy(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """Tensoring with an edge and doubling give equienergetic graphs."""
+    check_cap(2 * G.n, "tensor product with K_2 and double graph")
     closed = 2.0 * energy(G).value
     e_tensor = energy(kronecker_product(G, complete(2))).value
     e_double = energy(double_graph(G)).value
@@ -255,6 +263,7 @@ def check_edc_tensor_vs_iterated_energy(G: Graph, eps: float = EPS_ENERGY) -> Th
     """Tensored cover vs twice-iterated cover; equal when every nonzero
     adjacency eigenvalue has modulus at least 2, both matching
     4*sum|lambda| + 4*theta with theta the eigenvalue signature difference."""
+    check_cap(4 * G.n, "tensored and iterated double covers")
     lam = spectrum_of(G, "adjacency").values
     hyp = {"nonzero_eigs_at_least_2": all(abs(v) >= 2.0 - eps for v in lam if abs(v) > eps)}
     theta = _eig_signature_difference(G, eps)
@@ -269,6 +278,7 @@ def check_edc_tensor_vs_iterated_energy(G: Graph, eps: float = EPS_ENERGY) -> Th
 def check_edc_vs_double_energy_bipartite(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """For bipartite G the cover and the double graph are equienergetic
     exactly when every adjacency eigenvalue has modulus at least 1."""
+    _check_cover_cap(G)
     lam = spectrum_of(G, "adjacency").values
     hyp = {
         "bipartite": is_bipartite(G),
@@ -283,6 +293,7 @@ def check_edc_vs_double_energy_bipartite(G: Graph, eps: float = EPS_ENERGY) -> T
 
 def check_edc_energy_formula(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """Cover energy equals 2*sum|lambda_i + 1|."""
+    _check_cover_cap(G)
     lam = spectrum_of(G, "adjacency").values
     closed = 2.0 * sum(abs(v + 1.0) for v in lam)
     direct = energy(extended_double_cover(G)).value
@@ -291,6 +302,7 @@ def check_edc_energy_formula(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport
 
 def check_tensor_cartesian_energy(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """E((G (x) K_2) x K_2) equals twice E(G x K_2)."""
+    check_cap(4 * G.n, "tensored prism")
     k2 = complete(2)
     lhs = energy(cartesian_product(kronecker_product(G, k2), k2)).value
     rhs = 2.0 * energy(cartesian_product(G, k2)).value
@@ -303,12 +315,14 @@ def check_tensor_cartesian_energy(G: Graph, eps: float = EPS_ENERGY) -> TheoremR
 
 def check_edc_spanning_trees(G: Graph, eps: float = EPS_TREES) -> TheoremReport:
     """Closed-form spanning-tree count of the cover vs the exact cofactor count."""
-    formula = edc_spanning_trees_formula(G)
+    _check_cover_cap(G)
+    base_exact = spanning_trees_exact(G)
+    formula = _edc_trees_from_base(G, base_exact)
     cover = extended_double_cover(G)
     exact = spanning_trees_exact(cover)
     return make_report("3.5", {}, (formula,), (float(exact),), eps,
                        {"eigen_route": spanning_trees_eigen(cover),
-                        "base_exact": spanning_trees_exact(G)})
+                        "base_exact": base_exact})
 
 
 def check_laplacian_integrality_iteration(G: Graph, k: int = 1, eps: float = 1e-8) -> TheoremReport:
@@ -331,6 +345,7 @@ def check_laplacian_integrality_iteration(G: Graph, k: int = 1, eps: float = 1e-
 def check_edc_cartesian_cospectral(G: Graph, eps: float = EPS_SPECTRUM) -> TheoremReport:
     """The cover and the prism G x K_2 are Laplacian cospectral exactly for
     one-vertex or bipartite G."""
+    _check_cover_cap(G)
     expected = G.n <= 1 or is_bipartite(G)
     s1 = spectrum_of(extended_double_cover(G), "laplacian")
     s2 = spectrum_of(cartesian_product(G, complete(2)), "laplacian")
@@ -384,6 +399,7 @@ def check_le_doubling(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     every Laplacian eigenvalue sits at least 1 away from the average degree."""
     if G.n == 0:
         raise ParameterError("Laplacian energy undefined for the empty graph")
+    _check_cover_cap(G)
     mu = spectrum_of(G, "laplacian").values
     avg = 2.0 * G.m / G.n
     hyp = {

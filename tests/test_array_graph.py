@@ -1,0 +1,191 @@
+"""The array-backed Graph against the edge-set reference it replaced.
+
+Every construction, both encoders and the derived views must agree exactly
+with `edgeset_reference`: on hypothesis graphs with n <= 12, and on seeded
+graphs of 63, 64, 100 and 257 vertices, whose graph6 strings carry the
+four-byte order field (n >= 63); the upper triangles of 63 and 257 vertices
+end in a partial 6-bit group, those of 64 and 100 in a full one.
+"""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import edgeset_reference as ref
+import equigraph
+from equigraph import graphs as g
+from equigraph.errors import ValidationError
+from equigraph.graphio import decode_edgelist, decode_graph6, encode_edgelist, encode_graph6
+from equigraph.search import triangle_count
+from equigraph.spectra import _bareiss_determinant, matrix_of, spanning_trees_exact
+
+from conftest import random_graph
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return g.Graph(n, frozenset(edges))
+
+
+def assert_unary_constructions_match(G):
+    E = ref.of(G)
+    assert ref.of(g.complement(G)) == ref.complement(E)
+    assert ref.of(g.extended_double_cover(G)) == ref.extended_double_cover(E)
+    assert ref.of(g.iterated_edc(G, 2)) == ref.iterated_edc(E, 2)
+    assert ref.of(g.double_graph(G)) == ref.double_graph(E)
+    assert ref.of(g.k_fold(G, 3)) == ref.k_fold(E, 3)
+    assert ref.of(g.line_graph(G)) == ref.line_graph(E)
+    assert ref.of(g.copies(G, 3)) == ref.copies(E, 3)
+
+
+def assert_binary_constructions_match(G1, G2):
+    E1, E2 = ref.of(G1), ref.of(G2)
+    assert ref.of(g.disjoint_union(G1, G2)) == ref.disjoint_union(E1, E2)
+    assert ref.of(g.join(G1, G2)) == ref.join(E1, E2)
+    assert ref.of(g.cartesian_product(G1, G2)) == ref.cartesian_product(E1, E2)
+    assert ref.of(g.kronecker_product(G1, G2)) == ref.kronecker_product(E1, E2)
+
+
+def assert_codecs_match(G):
+    E = ref.of(G)
+    g6, el = ref.encode_graph6(E), ref.encode_edgelist(E)
+    assert encode_graph6(G) == g6
+    assert encode_edgelist(G) == el
+    assert decode_graph6(g6) == G
+    assert decode_edgelist(el) == G
+
+
+def assert_views_match(G):
+    E = ref.of(G)
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(E[1])
+    assert G.m == len(E[1])
+    assert G.degrees() == ref.degrees(E)
+    assert all(type(u) is int and type(v) is int for u, v in G.edges)
+    assert G.adjacency_sets() == [set(H[u]) for u in range(G.n)]
+    assert all(G.has_edge(u, v) == H.has_edge(u, v) for u in range(G.n) for v in range(G.n))
+    assert g.connected_components(G) == sorted(sorted(c) for c in nx.connected_components(H))
+    assert g.is_bipartite(G) == nx.is_bipartite(H)
+    assert g.is_regular(G) == (len(set(ref.degrees(E))) <= 1)
+    assert triangle_count(G) == sum(nx.triangles(H).values()) // 3
+    A = np.zeros((G.n, G.n))
+    for u, v in E[1]:
+        A[u, v] = A[v, u] = 1.0
+    D = np.diag(A.sum(axis=1)) if G.n else np.zeros((0, 0))
+    assert matrix_of(G, "adjacency").entries.tobytes() == A.tobytes()
+    assert matrix_of(G, "laplacian").entries.tobytes() == (D - A).tobytes()
+    assert matrix_of(G, "signless_laplacian").entries.tobytes() == (D + A).tobytes()
+    if G.n:
+        assert spanning_trees_exact(G) == _bareiss_determinant(ref.laplacian_minor(E))
+
+
+class TestAgainstEdgeSetReference:
+    @pytest.mark.parametrize("build,args", [
+        ("complete", (1,)), ("complete", (7,)), ("empty", (5,)),
+        ("complete_bipartite", (3, 4)), ("path", (1,)), ("path", (6,)),
+        ("cycle", (3,)), ("cycle", (9,)), ("hypercube", (0,)), ("hypercube", (4,)),
+    ])
+    def test_named_families(self, build, args):
+        assert ref.of(getattr(g, build)(*args)) == getattr(ref, build)(*args)
+
+    @given(graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_unary_constructions(self, G):
+        assert_unary_constructions_match(G)
+
+    @given(graphs(max_n=8), graphs(max_n=8))
+    @settings(max_examples=80, deadline=None)
+    def test_binary_constructions(self, G1, G2):
+        assert_binary_constructions_match(G1, G2)
+
+    @given(graphs())
+    @settings(max_examples=120, deadline=None)
+    def test_codecs(self, G):
+        assert_codecs_match(G)
+
+    @given(graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_derived_views(self, G):
+        assert_views_match(G)
+
+    @pytest.mark.parametrize("n", [63, 64, 100, 257])
+    def test_seeded_larger_graphs(self, n):
+        rng = np.random.default_rng(n)
+        G = random_graph(rng, n, 3.0 / n)
+        small = random_graph(rng, 5, 0.5)
+        assert_codecs_match(G)
+        assert_codecs_match(g.complement(G))
+        assert_unary_constructions_match(G)
+        assert_binary_constructions_match(G, small)
+        assert_binary_constructions_match(small, G)
+        assert_binary_constructions_match(G, g.complete(2))
+        assert ref.of(g.join(G, G)) == ref.join(ref.of(G), ref.of(G))
+        assert_views_match(G)
+
+
+class TestGraphType:
+    def test_adjacency_is_read_only_and_graph_immutable(self):
+        G = g.cycle(5)
+        assert G.adjacency.dtype == bool and not G.adjacency.flags.writeable
+        with pytest.raises(ValueError):
+            G.adjacency[0, 2] = True
+        with pytest.raises(AttributeError):
+            G.n = 6
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        G = g.Graph(4, [(0, 1), (2, 3)])
+        for H in (pickle.loads(pickle.dumps(G)), copy.deepcopy(G)):
+            assert H == G and not H.adjacency.flags.writeable
+
+    def test_equality_and_hash_follow_the_array(self):
+        a = g.Graph(4, [(0, 1), (2, 3)])
+        b = g.Graph.from_edges(4, [(3, 2), (1, 0)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != g.Graph(5, [(0, 1), (2, 3)])
+        assert a != g.Graph(4, [(0, 1)])
+
+    @pytest.mark.parametrize("A,fragment", [
+        (np.zeros((2, 3), dtype=bool), "square"),
+        (np.eye(3, dtype=bool), "loop"),
+        (np.triu(np.ones((3, 3), dtype=bool), 1), "symmetric"),
+        (np.triu(np.ones((300, 300), dtype=bool), 1), "symmetric"),
+    ])
+    def test_from_array_validates(self, A, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            g.Graph._from_array(A)
+
+    @pytest.mark.parametrize("edges,fragment", [
+        ([(0, 3)], r"edge \(0, 3\) invalid for n=3"),
+        ([(1, 0)], r"edge \(1, 0\) invalid"),
+        ([(0, 1, 2)], "pairs of integer"),
+        ([(0.5, 1)], "pairs of integer"),
+    ])
+    def test_edge_validation_messages(self, edges, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            g.Graph(3, edges)
+
+    def test_edges_and_edge_arrays_are_sorted_pairs(self):
+        G = g.Graph(5, [(3, 4), (0, 2), (1, 4), (0, 1)])
+        u, v = G.edge_arrays()
+        assert list(zip(u.tolist(), v.tolist())) == sorted(G.edges) == [(0, 1), (0, 2), (1, 4), (3, 4)]
+
+
+def test_import_loads_neither_scipy_nor_networkx():
+    code = ("import sys, equigraph, equigraph.cli; "
+            "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))")
+    src = str(Path(equigraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

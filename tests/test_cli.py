@@ -156,12 +156,33 @@ class TestExitCodes:
         ["construct", "--in", "k2.el", "--op", "edc^k", "--k", "4", "--out", "graph6"],
         *(["construct", "--in", "k3.el", "--op", "edc", "--with", "k3.el", "--op2", op, "--out", "graph6"]
           for op in ("join", "cartesian", "kronecker", "union")),
+        *(["construct", "--in", "k5.el", "--op", op, "--out", "graph6"] for op in ("line", "edc", "double")),
     ])
     def test_cap_refuses_folds_iterations_and_products(self, argv, monkeypatch, capsys):
         monkeypatch.chdir(DATA_DIR)
         monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "8")
         assert main(argv) == 1
         assert "above the cap of 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem", ["2.4", "2.6", "2.8", "2.9", "2.edc-energy", "2.kron-cart",
+                                         "3.2", "3.5", "3.6", "4.2"])
+    def test_cap_refuses_covers_and_products_of_one_input(self, theorem, monkeypatch, capsys):
+        monkeypatch.chdir(DATA_DIR)
+        monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "4")
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solved.append(M.shape) or eigvalsh(M))
+        assert main(["verify", "--in", "k3.el", "--theorem", theorem]) == 1
+        assert "above the cap of 4" in capsys.readouterr().err
+        assert solved == []
+
+    @pytest.mark.parametrize("suffix,payload", [(".el", "9 1\n0 8\n"), (".g6", "H" + "?" * 6)])
+    def test_input_above_the_cap_is_refused_at_parse(self, suffix, payload, tmp_path, monkeypatch, capsys):
+        path = tmp_path / ("g9" + suffix)
+        path.write_text(payload)
+        monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "8")
+        assert main(["spectra", "--in", str(path), "--matrix", "a"]) == 1
+        assert "needs 9 vertices, above the cap of 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--in", "k3.el", "--theorem", "3.7", "--k", "1000000"],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equigraph.errors import ParameterError, ParseError, ValidationError
+from equigraph.errors import EquigraphError, ParameterError, ParseError, ResourceLimitError, ValidationError
 from equigraph.graphio import (
     GraphDocument,
     decode_edgelist,
@@ -170,3 +170,46 @@ class TestDocuments:
         assert detect_format("C~") == "graph6"
         assert detect_format(">>graph6<<C~") == "graph6"
         assert detect_format("  2 1\n0 1") == "edgelist"
+
+
+class TestVertexCapAtParse:
+    """A header above the cap is refused before the n x n array is allocated."""
+
+    @pytest.mark.parametrize("decode,encode", [(decode_graph6, encode_graph6),
+                                               (decode_edgelist, encode_edgelist)])
+    def test_nine_vertices_above_a_cap_of_eight(self, decode, encode, monkeypatch):
+        monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "8")
+        assert decode(encode(cycle(8))) == cycle(8)
+        with pytest.raises(ResourceLimitError, match="needs 9 vertices, above the cap of 8"):
+            decode(encode(cycle(9)))
+
+    @pytest.mark.parametrize("text", ["100000 0\n", "~~?@????", "~A??" + "?" * 10])
+    def test_huge_header_refused_without_its_body(self, text):
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            parse_graph(GraphDocument(detect_format(text), text))
+
+    def test_library_graph_refused_above_the_cap(self, monkeypatch):
+        monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "8")
+        with pytest.raises(ResourceLimitError, match="above the cap of 8"):
+            Graph(9, [(0, 1)])
+
+
+_FUZZ_ALPHABET = st.sampled_from(list("0123456789 \n\t-~?@_ABC}xyz\u00b2\u0663\u00e9\u2028>graph6<"))
+
+
+@given(st.one_of(st.text(), st.text(alphabet=_FUZZ_ALPHABET),
+                 st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), max_size=6).map(
+                     lambda rows: "\n".join(f"{u} {v}" for u, v in rows))))
+@settings(max_examples=400, deadline=None)
+def test_parsers_raise_only_equigraph_errors(text):
+    try:
+        parse_graph(GraphDocument(detect_format(text), text))
+    except EquigraphError:
+        pass
+
+
+@pytest.mark.parametrize("text", ["\u00b2 1\n0 1", "2 1\n\u00b2 1", "3 \u00b2"])
+def test_non_ascii_digits_are_parse_errors(text):
+    assert detect_format(text) == "edgelist"
+    with pytest.raises(ParseError):
+        decode_edgelist(text)

@@ -57,6 +57,7 @@ from equigraph.theorems import (
     smallest_feasible_edc_join_slack,
     smallest_feasible_kfold_join_slack,
 )
+from equigraph import spectra
 from equigraph.reports import canonical_json
 
 from conftest import (
@@ -294,6 +295,15 @@ class TestTreesAndIntegrality:
         r = run_check("3.5", complete(3))
         assert r.verdict == VERDICT_CONFIRMED
         assert r.computed == (81.0,)
+
+    def test_edc_trees_check_runs_bareiss_once_per_graph(self, monkeypatch):
+        orders = []
+        bareiss = spectra._bareiss_determinant
+        monkeypatch.setattr(spectra, "_bareiss_determinant",
+                            lambda rows: orders.append(len(rows)) or bareiss(rows))
+        r = run_check("3.5", complete(5))
+        assert orders == [4, 9]  # tau(G), then tau(cover)
+        assert r.details["base_exact"] == 125 and r.verdict == VERDICT_CONFIRMED
 
     def test_integrality_iteration(self):
         r = run_check("3.7", complete(4), k=2)
