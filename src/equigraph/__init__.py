@@ -68,7 +68,6 @@ from .predict import (
     predict_kfold_a_spectrum,
     predict_kfold_l_spectrum,
     predict_product_spectrum,
-    vertex_cap,
 )
 from .theorems import (
     FamilySpec,
@@ -82,5 +81,6 @@ from .theorems import (
     run_check,
 )
 from .graphio import GraphDocument, emit_graph, parse_graph
+from .limits import vertex_cap
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ class ValidationError(EquigraphError, ValueError):
 
 
 class ResourceLimitError(EquigraphError, RuntimeError):
-    """A requested computation exceeds the configured vertex cap."""
+    """A requested computation exceeds the configured vertex cap or the float range."""
 
 
 class ContractViolationError(EquigraphError, ValueError):

@@ -1,7 +1,9 @@
 """Immutable simple-graph type, named families, and graph constructions.
 
 A graph is one read-only n x n boolean adjacency array, and every
-construction is the matrix identity its docstring states.  Vertices are
+construction is the matrix identity its docstring states.  Every named
+family and construction refuses a result above the vertex cap (see
+`limits`) before allocating it.  Vertices are
 always labelled 0..n-1, and each constructor fixes a vertex ordering
 explicitly so that the identities hold literally:
 
@@ -152,11 +154,13 @@ def _is_symmetric(A: np.ndarray) -> bool:
 def complete(n: int) -> Graph:
     """J - I."""
     _positive(n, "complete")
+    check_cap(n, "complete graph")
     return Graph._from_array(~np.eye(n, dtype=bool))
 
 
 def empty(n: int) -> Graph:
     _positive(n, "empty")
+    check_cap(n, "empty graph")
     return Graph._from_array(np.zeros((n, n), dtype=bool))
 
 
@@ -164,6 +168,7 @@ def complete_bipartite(q: int, r: int) -> Graph:
     """[[0, J], [J, 0]] with blocks of q and r vertices."""
     _positive(q, "complete_bipartite")
     _positive(r, "complete_bipartite")
+    check_cap(q + r, "complete bipartite graph")
     A = np.zeros((q + r, q + r), dtype=bool)
     A[:q, q:] = A[q:, :q] = True
     return Graph._from_array(A)
@@ -172,6 +177,7 @@ def complete_bipartite(q: int, r: int) -> Graph:
 def path(n: int) -> Graph:
     """i ~ i + 1."""
     _positive(n, "path")
+    check_cap(n, "path")
     return Graph._from_array(np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool))
 
 
@@ -180,6 +186,7 @@ def cycle(n: int) -> Graph:
     _positive(n, "cycle")
     if n < 3:
         raise ParameterError(f"cycle needs at least 3 vertices, got {n}")
+    check_cap(n, "cycle")
     A = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
     A[0, n - 1] = A[n - 1, 0] = True
     return Graph._from_array(A)
@@ -189,6 +196,7 @@ def hypercube(s: int) -> Graph:
     """Hypercube on 2**s vertices; i ~ j iff their labels differ in one bit."""
     if s < 0:
         raise ParameterError(f"hypercube dimension must be nonnegative, got {s}")
+    check_cap(1, "hypercube", doublings=s)
     n = 1 << s
     i = np.arange(n)
     A = np.zeros((n, n), dtype=bool)
@@ -281,6 +289,7 @@ def complement(G: Graph) -> Graph:
 def disjoint_union(G1: Graph, G2: Graph) -> Graph:
     """blockdiag(A1, A2): the labels of G2 shifted up by n1."""
     n1 = G1.n
+    check_cap(n1 + G2.n, "disjoint union")
     C = np.zeros((n1 + G2.n, n1 + G2.n), dtype=bool)
     C[:n1, :n1] = G1.adjacency
     C[n1:, n1:] = G2.adjacency
@@ -308,6 +317,7 @@ def cartesian_product(G1: Graph, G2: Graph) -> Graph:
     """A1 (x) I + I (x) A2: equal in one coordinate, adjacent in the other;
     (u, v) -> u*n2 + v."""
     n1, n2 = G1.n, G2.n
+    check_cap(n1 * n2, "Cartesian product")
     C = np.zeros((n1, n2, n1, n2), dtype=bool)
     v = np.arange(n2)
     C[:, v, :, v] = G1.adjacency
@@ -318,6 +328,7 @@ def cartesian_product(G1: Graph, G2: Graph) -> Graph:
 
 def kronecker_product(G1: Graph, G2: Graph) -> Graph:
     """A1 (x) A2: adjacent in both coordinates; (u, v) -> u*n2 + v."""
+    check_cap(G1.n * G2.n, "Kronecker product")
     return Graph._from_array(np.kron(G1.adjacency, G2.adjacency))
 
 
@@ -329,6 +340,7 @@ def extended_double_cover(G: Graph) -> Graph:
     has degree deg_G(i) + 1 on both sides.
     """
     n = G.n
+    check_cap(n, "extended double cover", doublings=1)
     B = G.adjacency | np.eye(n, dtype=bool)
     C = np.zeros((2 * n, 2 * n), dtype=bool)
     C[:n, n:] = C[n:, :n] = B
@@ -337,10 +349,9 @@ def extended_double_cover(G: Graph) -> Graph:
 
 def iterated_edc(G: Graph, k: int) -> Graph:
     """Apply the extended double cover k times; k = 0 returns G unchanged."""
-    if k < 0:
-        raise ParameterError(f"iteration count must be nonnegative, got {k}")
+    check_cap(G.n, "iterated double cover", doublings=k)
     out = G
-    for _ in range(k):
+    for _ in range(k if G.n else 0):  # the cover of the empty graph is itself
         out = extended_double_cover(out)
     return out
 
@@ -352,6 +363,7 @@ def k_fold(G: Graph, k: int) -> Graph:
     """
     if k < 1:
         raise ParameterError(f"fold count must be positive, got {k}")
+    check_cap(G.n * k, "k-fold graph")
     return Graph._from_array(np.repeat(np.repeat(G.adjacency, k, axis=0), k, axis=1))
 
 
@@ -366,6 +378,7 @@ def line_graph(G: Graph) -> Graph:
     of B^T B is B[u_i] + B[v_i]."""
     u, v = G.edge_arrays()
     m = u.size
+    check_cap(m, "line graph")
     B = np.zeros((G.n, m), dtype=bool)
     B[u, np.arange(m)] = B[v, np.arange(m)] = True
     L = B[u] | B[v]

@@ -11,7 +11,7 @@ import math
 
 from .errors import ParameterError
 from .graphs import Graph, is_bipartite
-from .limits import check_cap, vertex_cap  # noqa: F401  (vertex_cap is re-exported)
+from .limits import check_cap
 from .spectra import Spectrum, spectrum_of
 
 

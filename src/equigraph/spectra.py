@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ContractViolationError, ParameterError, ResourceLimitError
 from .graphs import Graph, is_bipartite
 
 MATRIX_KINDS = ("adjacency", "laplacian", "signless_laplacian")
@@ -249,8 +249,18 @@ def edc_spanning_trees_formula(G: Graph) -> float:
 
 def _edc_trees_from_base(G: Graph, tau: int) -> float:
     """The cover's tree count from tau = tau(G), already known."""
+    half = 0.5 * _count_as_float(tau, "the base graph")
     q = spectrum_of(G, "signless_laplacian").values
-    return 0.5 * tau * float(np.prod([v + 2.0 for v in q]))
+    return half * float(np.prod([v + 2.0 for v in q]))
+
+
+def _count_as_float(count: int, what: str) -> float:
+    """An exact spanning-tree count as a float, refused when it overflows."""
+    try:
+        return float(count)
+    except OverflowError as exc:
+        raise ResourceLimitError(f"the spanning-tree count of {what} ({count.bit_length()} bits) "
+                                 f"overflows a float") from exc
 
 
 def edc_spanning_trees_formula_bipartite(G: Graph) -> float:
@@ -261,6 +271,6 @@ def edc_spanning_trees_formula_bipartite(G: Graph) -> float:
         raise ParameterError("spanning trees undefined for the empty graph")
     if not is_bipartite(G):
         raise ParameterError("bipartite form requires a bipartite graph")
-    tau = spanning_trees_exact(G)
+    tau = _count_as_float(spanning_trees_exact(G), "the base graph")
     mu = spectrum_of(G, "laplacian").values
-    return tau * float(np.prod([v + 2.0 for v in mu[1:]])) if G.n > 1 else tau * 1.0
+    return tau * float(np.prod([v + 2.0 for v in mu[1:]]))

@@ -32,7 +32,6 @@ from .graphs import (
     k_fold,
     kronecker_product,
 )
-from .limits import check_cap
 from .predict import (
     predict_edc_a_spectrum,
     predict_edc_l_spectrum,
@@ -42,6 +41,7 @@ from .predict import (
     predict_kfold_l_spectrum,
 )
 from .spectra import (
+    _count_as_float,
     _edc_trees_from_base,
     energy,
     laplacian_energy,
@@ -172,11 +172,6 @@ def _eig_signature_difference(G: Graph, eps: float) -> int:
     return sum(1 if v >= -eps else -1 for v in lam)
 
 
-def _check_cover_cap(G: Graph) -> None:
-    """Refuse a claim whose extended double cover (2n vertices) is above the cap."""
-    check_cap(G.n, "extended double cover", doublings=1)
-
-
 def _sum_degree_deviation(G: Graph) -> float:
     avg = 2.0 * G.m / G.n
     return sum(abs(d - avg) for d in G.degrees())
@@ -187,9 +182,8 @@ def _sum_degree_deviation(G: Graph) -> float:
 # ---------------------------------------------------------------------------
 
 def check_edc_adjacency_spectrum(G: Graph, eps: float = EPS_SPECTRUM) -> TheoremReport:
-    _check_cover_cap(G)
-    predicted = predict_edc_a_spectrum(G)
     computed = spectrum_of(extended_double_cover(G), "adjacency")
+    predicted = predict_edc_a_spectrum(G)
     return make_report("2.4", {}, predicted.values, computed.values, eps)
 
 
@@ -200,9 +194,8 @@ def check_kfold_adjacency_spectrum(G: Graph, k: int = 2, eps: float = EPS_SPECTR
 
 
 def check_edc_laplacian_spectrum(G: Graph, eps: float = EPS_SPECTRUM) -> TheoremReport:
-    _check_cover_cap(G)
-    predicted = predict_edc_l_spectrum(G)
     computed = spectrum_of(extended_double_cover(G), "laplacian")
+    predicted = predict_edc_l_spectrum(G)
     return make_report("3.2", {}, predicted.values, computed.values, eps)
 
 
@@ -228,9 +221,8 @@ def check_kfold_laplacian_spectrum(G: Graph, k: int = 2, eps: float = EPS_SPECTR
 
 def check_tensor_k2_vs_double_energy(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """Tensoring with an edge and doubling give equienergetic graphs."""
-    check_cap(2 * G.n, "tensor product with K_2 and double graph")
-    closed = 2.0 * energy(G).value
     e_tensor = energy(kronecker_product(G, complete(2))).value
+    closed = 2.0 * energy(G).value
     e_double = energy(double_graph(G)).value
     cospectral = spectral_distance(spectrum_of(kronecker_product(G, complete(2)), "adjacency"),
                                    spectrum_of(double_graph(G), "adjacency")) <= eps
@@ -245,8 +237,6 @@ def check_tensor_power_vs_kfold_energy(G: Graph, k: int = 2, s: int | None = Non
         raise ParameterError(f"fold count must be positive, got {k}")
     if s is None:
         s = max(k.bit_length() - 1, 1)
-    check_cap(G.n * k, "k-fold graph")
-    check_cap(G.n, "tensor power", doublings=s)
     base = energy(G).value
     e_fold = energy(k_fold(G, k)).value
     e_power = energy(_tensor_k2_power(G, s)).value
@@ -263,14 +253,13 @@ def check_edc_tensor_vs_iterated_energy(G: Graph, eps: float = EPS_ENERGY) -> Th
     """Tensored cover vs twice-iterated cover; equal when every nonzero
     adjacency eigenvalue has modulus at least 2, both matching
     4*sum|lambda| + 4*theta with theta the eigenvalue signature difference."""
-    check_cap(4 * G.n, "tensored and iterated double covers")
+    cover = extended_double_cover(G)
+    e_tensor = energy(kronecker_product(cover, complete(2))).value
+    e_iter = energy(extended_double_cover(cover)).value
     lam = spectrum_of(G, "adjacency").values
     hyp = {"nonzero_eigs_at_least_2": all(abs(v) >= 2.0 - eps for v in lam if abs(v) > eps)}
     theta = _eig_signature_difference(G, eps)
     closed = 4.0 * sum(abs(v) for v in lam) + 4.0 * theta
-    cover = extended_double_cover(G)
-    e_tensor = energy(kronecker_product(cover, complete(2))).value
-    e_iter = energy(extended_double_cover(cover)).value
     return make_report("2.8", hyp, (closed, closed), (e_tensor, e_iter), eps,
                        {"theta": theta})
 
@@ -278,14 +267,13 @@ def check_edc_tensor_vs_iterated_energy(G: Graph, eps: float = EPS_ENERGY) -> Th
 def check_edc_vs_double_energy_bipartite(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """For bipartite G the cover and the double graph are equienergetic
     exactly when every adjacency eigenvalue has modulus at least 1."""
-    _check_cover_cap(G)
+    e_cover = energy(extended_double_cover(G)).value
     lam = spectrum_of(G, "adjacency").values
     hyp = {
         "bipartite": is_bipartite(G),
         "abs_eigs_at_least_1": all(abs(v) >= 1.0 - eps for v in lam),
     }
     closed = 2.0 * sum(abs(v) for v in lam)
-    e_cover = energy(extended_double_cover(G)).value
     e_double = energy(double_graph(G)).value
     return make_report("2.9", hyp, (closed, closed), (e_cover, e_double), eps,
                        {"energy_gap": e_cover - e_double})
@@ -293,16 +281,14 @@ def check_edc_vs_double_energy_bipartite(G: Graph, eps: float = EPS_ENERGY) -> T
 
 def check_edc_energy_formula(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """Cover energy equals 2*sum|lambda_i + 1|."""
-    _check_cover_cap(G)
+    direct = energy(extended_double_cover(G)).value
     lam = spectrum_of(G, "adjacency").values
     closed = 2.0 * sum(abs(v + 1.0) for v in lam)
-    direct = energy(extended_double_cover(G)).value
     return make_report("2.edc-energy", {}, (closed,), (direct,), eps)
 
 
 def check_tensor_cartesian_energy(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     """E((G (x) K_2) x K_2) equals twice E(G x K_2)."""
-    check_cap(4 * G.n, "tensored prism")
     k2 = complete(2)
     lhs = energy(cartesian_product(kronecker_product(G, k2), k2)).value
     rhs = 2.0 * energy(cartesian_product(G, k2)).value
@@ -315,12 +301,11 @@ def check_tensor_cartesian_energy(G: Graph, eps: float = EPS_ENERGY) -> TheoremR
 
 def check_edc_spanning_trees(G: Graph, eps: float = EPS_TREES) -> TheoremReport:
     """Closed-form spanning-tree count of the cover vs the exact cofactor count."""
-    _check_cover_cap(G)
+    cover = extended_double_cover(G)
     base_exact = spanning_trees_exact(G)
     formula = _edc_trees_from_base(G, base_exact)
-    cover = extended_double_cover(G)
     exact = spanning_trees_exact(cover)
-    return make_report("3.5", {}, (formula,), (float(exact),), eps,
+    return make_report("3.5", {}, (formula,), (_count_as_float(exact, "the cover"),), eps,
                        {"eigen_route": spanning_trees_eigen(cover),
                         "base_exact": base_exact})
 
@@ -332,7 +317,6 @@ def check_laplacian_integrality_iteration(G: Graph, k: int = 1, eps: float = 1e-
     is exact only when those are integral too; automatic for bipartite G,
     reported as a hypothesis otherwise.
     """
-    check_cap(G.n, "iterated double cover", doublings=k)
     q_vals = spectrum_of(G, "signless_laplacian").values
     q_integral = all(abs(v - round(v)) <= eps for v in q_vals)
     hyp = {"bipartite_or_q_integral": is_bipartite(G) or q_integral}
@@ -345,7 +329,6 @@ def check_laplacian_integrality_iteration(G: Graph, k: int = 1, eps: float = 1e-
 def check_edc_cartesian_cospectral(G: Graph, eps: float = EPS_SPECTRUM) -> TheoremReport:
     """The cover and the prism G x K_2 are Laplacian cospectral exactly for
     one-vertex or bipartite G."""
-    _check_cover_cap(G)
     expected = G.n <= 1 or is_bipartite(G)
     s1 = spectrum_of(extended_double_cover(G), "laplacian")
     s2 = spectrum_of(cartesian_product(G, complete(2)), "laplacian")
@@ -359,7 +342,6 @@ def check_iterated_cospectral_pair(G: Graph, second: Graph, k: int = 1,
                                    eps: float = EPS_SPECTRUM) -> TheoremReport:
     """Laplacian cospectrality of a pair is preserved and reflected by the
     k-th iterated cover."""
-    check_cap(max(G.n, second.n), "iterated double cover", doublings=k)
     base_equal = spectral_distance(spectrum_of(G, "laplacian"),
                                    spectrum_of(second, "laplacian")) <= eps
     iter_equal = spectral_distance(spectrum_of(iterated_edc(G, k), "laplacian"),
@@ -374,7 +356,6 @@ def check_bipartite_cospectral_chain(G: Graph, k: int = 2, eps: float = EPS_SPEC
     (s-1)-th cover of the prism, and G x (hypercube of dimension s)."""
     if k < 1:
         raise ParameterError(f"iteration count must be positive, got {k}")
-    check_cap(max(G.n, 1), "cospectral chain", doublings=k)
     hyp = {"bipartite": is_bipartite(G)}
     k2 = complete(2)
     members = [
@@ -399,7 +380,7 @@ def check_le_doubling(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     every Laplacian eigenvalue sits at least 1 away from the average degree."""
     if G.n == 0:
         raise ParameterError("Laplacian energy undefined for the empty graph")
-    _check_cover_cap(G)
+    direct = laplacian_energy(extended_double_cover(G)).value
     mu = spectrum_of(G, "laplacian").values
     avg = 2.0 * G.m / G.n
     hyp = {
@@ -407,7 +388,6 @@ def check_le_doubling(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
         "le_gaps_at_least_1": all(abs(v - avg) >= 1.0 - eps for v in mu),
     }
     doubled = 2.0 * laplacian_energy(G).value
-    direct = laplacian_energy(extended_double_cover(G)).value
     return make_report("4.2", hyp, (doubled,), (direct,), eps,
                        {"min_gap": min(abs(v - avg) for v in mu)})
 
@@ -419,9 +399,8 @@ def kfold_le_formula(G: Graph, k: int = 2, eps: float = EPS_ENERGY) -> TheoremRe
         raise ParameterError(f"fold count must be positive, got {k}")
     if G.n == 0:
         raise ParameterError("Laplacian energy undefined for the empty graph")
-    check_cap(G.n * k, "k-fold graph")
-    closed = k * laplacian_energy(G).value + k * (k - 1) * _sum_degree_deviation(G)
     direct = laplacian_energy(k_fold(G, k)).value
+    closed = k * laplacian_energy(G).value + k * (k - 1) * _sum_degree_deviation(G)
     return make_report("4.kfold-le", {}, (closed,), (direct,), eps, {"k": k})
 
 
@@ -442,9 +421,7 @@ def family_join_edc(G: Graph, p: int, t: int = 1, k: int | None = None,
         raise ParameterError("family needs a nonempty base graph")
     if p < 1:
         raise ParameterError(f"join partner size must be positive, got {p}")
-    if t < 0:
-        raise ParameterError(f"iteration count must be nonnegative, got {t}")
-    check_cap(G.n, "iterated double cover", doublings=t)
+    composite = join(iterated_edc(G, t), empty(p))
     if k is None:
         k = smallest_feasible_edc_join_slack(G, t)
     n, m = G.n, G.m
@@ -456,8 +433,6 @@ def family_join_edc(G: Graph, p: int, t: int = 1, k: int | None = None,
         "edges_small_enough": m <= (k - t) * n / 2.0 + k * k / (2.0 * scale),
     }
     tid = theorem_id or ("4.3" if t == 1 else "4.4")
-    check_cap(p + scale * n, "join family composite")
-    composite = join(iterated_edc(G, t), empty(p))
     avg = (2.0 * scale * m + scale * t * n + 2.0 * scale * p * n) / (p + scale * n)
     closed = scale * n * (t + 2) + (p - scale * n) * avg + scale * 2.0 * m
     direct = laplacian_energy(composite).value
@@ -479,6 +454,7 @@ def family_join_kfold(G: Graph, p: int, k: int = 2, t: int | None = None,
         raise ParameterError(f"join partner size must be positive, got {p}")
     if k < 1:
         raise ParameterError(f"fold count must be positive, got {k}")
+    composite = join(k_fold(G, k), empty(p))
     if t is None:
         t = smallest_feasible_kfold_join_slack(G, k)
     n, m = G.n, G.m
@@ -489,8 +465,6 @@ def family_join_kfold(G: Graph, p: int, k: int = 2, t: int | None = None,
         "edges_small_enough": m <= t * (k * n + t) / (2.0 * k * k),
     }
     tid = theorem_id or ("4.6" if k == 2 else "4.7")
-    check_cap(p + k * n, "join family composite")
-    composite = join(k_fold(G, k), empty(p))
     avg = (2.0 * k * k * m + 2.0 * p * k * n) / (p + k * n)
     closed = 2.0 * k * n + (p - k * n) * avg + 2.0 * m * k * k
     direct = laplacian_energy(composite).value
@@ -548,7 +522,6 @@ def family_mixed(mixed_id: str, G1: Graph, G2: Graph, p: int, k: int = 4,
             "p_large_enough": p >= 4 * n + k,
             "edges_small_enough": m2 <= n * (k - 2) / 4.0 + k * k / 16.0,
         }
-        check_cap(p + 4 * n, "mixed family composite")
         c1 = join(double_graph(extended_double_cover(G1)), empty(p))
         c2 = join(extended_double_cover(double_graph(G2)), empty(p))
         avg1 = (16.0 * m1 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
@@ -563,7 +536,6 @@ def family_mixed(mixed_id: str, G1: Graph, G2: Graph, p: int, k: int = 4,
             "p_large_enough": p >= 4 * n + k,
             "edges_small_enough": m2 <= k * (4 * n + k) / 8.0 - n,
         }
-        check_cap(p + 4 * n, "mixed family composite")
         c1 = join(double_graph(extended_double_cover(G1)), empty(p))
         c2 = join(iterated_edc(G2, 2), empty(p))
         avg1 = (16.0 * m1 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
@@ -579,7 +551,6 @@ def family_mixed(mixed_id: str, G1: Graph, G2: Graph, p: int, k: int = 4,
             "edges_small_enough_double": m1 <= k * (2 * n + k) / 8.0,
             "edges_small_enough_cover": m2 <= (k - 1) * n / 2.0 + k * k / 4.0,
         }
-        check_cap(p + 2 * n, "mixed family composite")
         c1 = join(double_graph(G1), empty(p))
         c2 = join(extended_double_cover(G2), empty(p))
         avg1 = (8.0 * m1 + 4.0 * p * n) / (p + 2 * n)
@@ -614,7 +585,6 @@ def family_cartesian(G1: Graph, G2: Graph, p: int, eps: float = EPS_FAMILY) -> T
         "p_large_enough": p >= n + 2,
         "q_spectrum_floor": min(min(q1), min(q2)) >= avg - 2.0 - eps,
     }
-    check_cap(2 * n * p, "cartesian family composite")
     le_base1 = laplacian_energy(G1).value
     le_base2 = laplacian_energy(G2).value
     closed1 = (p - 1) * le_base1 + 4.0 * p * n - 4.0 * n

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equigraph.cli import main
+from equigraph.cli import build_parser, main
 from equigraph.theorems import CLAIMS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -176,6 +176,21 @@ class TestExitCodes:
         assert "above the cap of 4" in capsys.readouterr().err
         assert solved == []
 
+    @pytest.mark.parametrize("theorem,options", [("4.8", ["--p", "8", "--k", "4"]),
+                                                 ("4.9", ["--p", "8", "--k", "4"]),
+                                                 ("eq41", ["--p", "12", "--k", "4"]),
+                                                 ("4.10", ["--p", "4"])])
+    def test_cap_refuses_a_family_composite_of_the_second_input(self, theorem, options, monkeypatch, capsys):
+        monkeypatch.chdir(DATA_DIR)
+        monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "16")
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solved.append(M.shape) or eigvalsh(M))
+        argv = ["family", "--theorem", theorem, "--in", "k2.el", "--in2", "k3.el"] + options
+        assert main(argv) == 1
+        assert "above the cap of 16" in capsys.readouterr().err
+        assert all(n <= 16 for n, _ in solved)
+
     @pytest.mark.parametrize("suffix,payload", [(".el", "9 1\n0 8\n"), (".g6", "H" + "?" * 6)])
     def test_input_above_the_cap_is_refused_at_parse(self, suffix, payload, tmp_path, monkeypatch, capsys):
         path = tmp_path / ("g9" + suffix)
@@ -241,3 +256,29 @@ def test_readme_and_help_list_the_claim_table(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert "claim ID: " + " ".join(ids["verify"]) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,patched,count", [
+    # the base count overflows (K_180 and up): the cover formula cannot scale it
+    (["trees", "--in", "k3.el", "--method", "edc-formula"], "equigraph.spectra.spanning_trees_exact",
+     lambda G: 10 ** 400),
+    # only the cover's exact count overflows (K_82 and up)
+    (["verify", "--in", "k3.el", "--theorem", "3.5"], "equigraph.theorems.spanning_trees_exact",
+     lambda G: 10 ** 400 if G.n > 3 else 3),
+], ids=["trees-edc-formula", "verify-3.5"])
+def test_tree_count_overflowing_a_float_is_1(argv, patched, count, monkeypatch, capsys):
+    """A count above the float range is an error, not a traceback; the counts
+    are faked so that no Bareiss elimination runs at size."""
+    monkeypatch.chdir(DATA_DIR)
+    monkeypatch.setattr(patched, count)
+    assert main(argv) == 1
+    assert "overflows a float" in capsys.readouterr().err
+
+
+def test_argument_parser_is_built_once(monkeypatch, capsys):
+    monkeypatch.chdir(DATA_DIR)
+    build_parser.cache_clear()
+    assert main(["energy", "--in", "k3.el", "--kind", "e"]) == 0
+    assert main(["energy", "--in", "k2.el", "--kind", "e"]) == 0
+    capsys.readouterr()
+    assert build_parser.cache_info().misses == 1

@@ -22,7 +22,23 @@ from equigraph.graphio import (
     encode_graph6,
     parse_graph,
 )
-from equigraph.graphs import Graph, complete, cycle, empty
+from equigraph.graphs import (
+    Graph,
+    cartesian_product,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    empty,
+    extended_double_cover,
+    hypercube,
+    iterated_edc,
+    join,
+    k_fold,
+    kronecker_product,
+    line_graph,
+    path,
+)
 
 from conftest import random_graph
 
@@ -188,10 +204,30 @@ class TestVertexCapAtParse:
         with pytest.raises(ResourceLimitError, match="above the cap"):
             parse_graph(GraphDocument(detect_format(text), text))
 
-    def test_library_graph_refused_above_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize("build", [
+        lambda: Graph(9, [(0, 1)]),
+        lambda: complete(9),
+        lambda: empty(9),
+        lambda: complete_bipartite(4, 5),
+        lambda: path(9),
+        lambda: cycle(9),
+        lambda: hypercube(4),
+        lambda: disjoint_union(complete(5), complete(5)),
+        lambda: join(complete(5), complete(5)),
+        lambda: kronecker_product(complete(3), complete(3)),
+        lambda: cartesian_product(complete(3), complete(3)),
+        lambda: extended_double_cover(complete(5)),
+        lambda: iterated_edc(complete(3), 2),
+        lambda: k_fold(complete(3), 3),
+        lambda: line_graph(complete(5)),
+    ], ids=["graph", "complete", "empty", "complete_bipartite", "path", "cycle", "hypercube",
+            "disjoint_union", "join", "kronecker_product", "cartesian_product",
+            "extended_double_cover", "iterated_edc", "k_fold", "line_graph"])
+    def test_library_graph_refused_above_the_cap(self, build, monkeypatch):
+        """Every construction refuses a result above the cap, not only the CLI."""
         monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "8")
         with pytest.raises(ResourceLimitError, match="above the cap of 8"):
-            Graph(9, [(0, 1)])
+            build()
 
 
 _FUZZ_ALPHABET = st.sampled_from(list("0123456789 \n\t-~?@_ABC}xyz\u00b2\u0663\u00e9\u2028>graph6<"))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from equigraph.errors import ContractViolationError, ParameterError
+from equigraph.errors import ContractViolationError, ParameterError, ResourceLimitError
 from equigraph.graphs import (
     Graph,
     cartesian_product,
@@ -254,6 +254,12 @@ class TestEdcTreesFormula:
     def test_bipartite_form_rejects_odd_cycle(self):
         with pytest.raises(ParameterError):
             edc_spanning_trees_formula_bipartite(complete(3))
+
+    def test_bipartite_form_refuses_a_count_overflowing_a_float(self, monkeypatch):
+        """Faked count, so that no Bareiss elimination runs at size."""
+        monkeypatch.setattr("equigraph.spectra.spanning_trees_exact", lambda G: 10 ** 400)
+        with pytest.raises(ResourceLimitError, match="overflows a float"):
+            edc_spanning_trees_formula_bipartite(path(3))
 
 
 class TestLaplacianIntegrality:
