@@ -364,6 +364,7 @@ def k_fold(G: Graph, k: int) -> Graph:
     if k < 1:
         raise ParameterError(f"fold count must be positive, got {k}")
     check_cap(G.n * k, "k-fold graph")
+    check_cap(k, "the fold of one vertex")  # a 0-vertex G passes the first check; np.repeat takes no huge k
     return Graph._from_array(np.repeat(np.repeat(G.adjacency, k, axis=0), k, axis=1))
 
 

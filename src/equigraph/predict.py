@@ -50,6 +50,8 @@ def predict_iterated_edc_l_spectrum(G: Graph, k: int) -> Spectrum:
     if k < 1:
         raise ParameterError(f"iteration count must be positive, got {k}")
     check_cap(G.n, "iterated double cover spectrum", doublings=k)
+    if G.n == 0:  # the iterated cover of the empty graph is itself
+        return Spectrum(())
     mu = spectrum_of(G, "laplacian").values
     q = spectrum_of(G, "signless_laplacian").values
     out: list[float] = []
@@ -71,6 +73,8 @@ def predict_iterated_edc_l_spectrum_bipartite(G: Graph, k: int) -> Spectrum:
     if not is_bipartite(G):
         raise ParameterError("bipartite shortcut requires a bipartite graph")
     check_cap(G.n, "iterated double cover spectrum", doublings=k)
+    if G.n == 0:
+        return Spectrum(())
     mu = spectrum_of(G, "laplacian").values
     out: list[float] = []
     for r in range(k + 1):

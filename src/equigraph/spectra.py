@@ -6,17 +6,27 @@ the signless Laplacian D + A.  Spanning trees are counted twice over, by
 the spectral route (product of the n-1 largest Laplacian eigenvalues over
 n) and by an exact integer cofactor determinant, so the two routes can
 certify each other.
+
+The exact determinant of a connected graph's Laplacian minor comes from
+Bareiss elimination over Python integers for minors of order up to 26, the
+measured crossover, and above it from elimination modulo primes below
+2**23 and Chinese remaindering.  The minor is positive definite, so
+Hadamard's inequality bounds its determinant by the product of its
+diagonal (the degrees), and the primes' product exceeds twice that bound.
+The modular elimination runs in float64, which is exact while every
+partial sum stays below 2**53.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, ResourceLimitError
-from .graphs import Graph, is_bipartite
+from .graphs import Graph, is_bipartite, is_connected
 
 MATRIX_KINDS = ("adjacency", "laplacian", "signless_laplacian")
 
@@ -192,26 +202,41 @@ def spanning_trees_eigen(G: Graph) -> float:
     """Product of the n-1 largest Laplacian eigenvalues divided by n.
 
     Evaluates to ~0 for disconnected graphs since a second zero eigenvalue
-    enters the product.
+    enters the product; a product beyond the float range is refused with
+    ResourceLimitError.
     """
     if G.n < 1:
         raise ParameterError("spanning trees undefined for the empty graph")
     vals = spectrum_of(G, "laplacian").values
-    return float(np.prod(vals[1:])) / G.n if G.n > 1 else 1.0
+    if G.n == 1:
+        return 1.0
+    with np.errstate(over="ignore"):
+        count = float(np.prod(vals[1:])) / G.n
+    return _finite_count(count, f"a graph on {G.n} vertices")
 
 
 def spanning_trees_exact(G: Graph) -> int:
     """Exact spanning-tree count: integer determinant of a Laplacian minor.
 
-    Deletes the last row and column and runs fraction-free (Bareiss)
-    elimination over Python integers, so the result is exact at any size.
+    Deletes the last row and column.  A disconnected graph has no spanning
+    tree and returns 0 before any elimination; otherwise the minor is
+    positive definite.  Minors of order up to `_BAREISS_MAX_ORDER` (26, the
+    measured crossover) run fraction-free (Bareiss) elimination over Python
+    integers.  Larger ones run the multi-modular determinant: float64
+    elimination modulo primes below 2**23, exact while every partial sum
+    stays below 2**53, with as many primes as Hadamard's bound (the product
+    of the degrees) needs.  Both routes are exact at any size.
     """
     if G.n < 1:
         raise ParameterError("spanning trees undefined for the empty graph")
+    if not is_connected(G):
+        return 0
     n = G.n
     minor = np.subtract(0, G.adjacency[:n - 1, :n - 1], dtype=np.int64)
     minor.flat[::n] = G.degrees()[:n - 1]
-    return _bareiss_determinant(minor.tolist())
+    if n - 1 <= _BAREISS_MAX_ORDER:
+        return _bareiss_determinant(minor.tolist())
+    return _modular_determinant(minor)
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:
@@ -237,6 +262,142 @@ def _bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
+# The multi-modular determinant computes in float64, which holds every
+# integer of magnitude up to 2**53 exactly.  Residues lie in (-p, p) with
+# p < 2**23, so a product of two is below 2**46, and a sum of _BLOCK of
+# them stays below _BLOCK * 2**46 < 2**53.  16 measured fastest.
+_PRIME_LIMIT = 1 << 23
+_BLOCK = 16
+# primes per batch, so that the batch of minors stays near this size
+_BATCH_BYTES = 1 << 21
+# crossover in the minor's order: Bareiss measured faster up to here
+_BAREISS_MAX_ORDER = 26
+
+# the primes found so far: a cache of one fixed sequence, never reset
+_PRIMES: list[int] = []
+
+
+def _primes() -> Iterator[int]:
+    """The primes below 2**23 in descending order, found on demand by trial
+    division and cached."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            c = (_PRIMES[-1] if _PRIMES else _PRIME_LIMIT + 1) - 2
+            while not all(c % d for d in range(3, math.isqrt(c) + 1, 2)):
+                c -= 2
+            _PRIMES.append(c)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _modular_determinant(minor: np.ndarray) -> int:
+    """Determinant of a positive definite integer matrix from its residues
+    modulo many primes, by Chinese remaindering (Abbott, Bronstein &
+    Mulders, ISSAC 1999).
+
+    Hadamard's inequality bounds the determinant by the product H of the
+    diagonal, so primes are taken until their product exceeds 2H, which
+    fixes the determinant as the residue of least absolute value.  No
+    early termination is needed.  A prime that meets a zero pivot divides
+    a leading principal minor, a nonzero integer, so only finitely many
+    do; each is dropped and replaced by the next prime.
+    """
+    n = minor.shape[0]
+    bound = 2 * math.prod(int(d) for d in np.diagonal(minor))
+    batch = max(1, _BATCH_BYTES // (8 * n * n))
+    A = minor.astype(np.float64)
+    primes = _primes()
+    residues: list[tuple[int, int]] = []
+    modulus = 1
+    while modulus <= bound:
+        needed, reach = [], modulus
+        while reach <= bound:
+            needed.append(next(primes))
+            reach *= needed[-1]
+        # groups of at most batch primes, as even as possible
+        size = math.ceil(len(needed) / math.ceil(len(needed) / batch))
+        for g in range(0, len(needed), size):
+            group = needed[g:g + size]
+            for q, r in zip(group, _det_mod_primes(A, group)):
+                if r:  # zero only when a pivot vanished
+                    residues.append((r, q))
+                    modulus *= q
+    x, m = 0, 1
+    for r, p in residues:
+        x += m * ((r - x) * pow(m, -1, p) % p)
+        m *= p
+    return x if 2 * x < m else x - m
+
+
+def _det_mod_primes(A: np.ndarray, primes: list[int]) -> list[int]:
+    """det A mod each prime, batched over the primes, with 0 for a prime
+    that meets a zero pivot.
+
+    Block Schur complements without pivoting: Gauss-Jordan inverts each
+    diagonal block A11 of _BLOCK rows, then batched matmuls form
+    X = A11^-1 A12 and, _BLOCK rows at a time, the trailing update
+    A22 - A21 X.  Residues are kept in (-p, p).
+    """
+    n = A.shape[0]
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+    pinv = 1.0 / p
+    M = np.fmod(A, p)  # small entries: fmod is quick here
+    det = [1] * len(primes)
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        inverse = _inverse_mod(M[:, k0:k1, k0:k1], primes, p, pinv, det)
+        X = _reduce(np.matmul(inverse, M[:, k0:k1, k1:]), p, pinv)
+        for c0 in range(k1, n, _BLOCK):
+            rows = M[:, c0:c0 + _BLOCK, k1:]
+            rows -= np.matmul(M[:, c0:c0 + _BLOCK, k0:k1], X)
+            _reduce(rows, p, pinv)
+    return det
+
+
+def _reduce(x: np.ndarray, p: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """x - p * rint(x / p), in place: a residue in (-p, p).  For integers
+    |x| < _BLOCK * p**2 the computed quotient is within 2**-20 of x / p, so
+    rint misses the nearest integer only at a near tie, the result stays in
+    (-p, p) and every step is exact.  fmod is exact too, but many times
+    slower on large quotients."""
+    t = x * pinv
+    np.rint(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+def _inverse_mod(block: np.ndarray, primes: list[int], p: np.ndarray, pinv: np.ndarray,
+                 det: list[int]) -> np.ndarray:
+    """Inverse of each w x w block mod its prime, by Gauss-Jordan on
+    [A11 | I]; multiplies det by the pivots.
+
+    At step i only columns i .. w + i of [A11 | I] can change.  Reduction
+    is delayed: a row is reduced when it becomes the pivot row and once at
+    the end.  Between those it takes at most w - 1 updates of size below
+    p**2, so it stays below w * p**2 < 2**53.
+    """
+    P, w, _ = block.shape
+    p2, pinv2 = p[:, :, 0], pinv[:, :, 0]
+    E = np.zeros((P, w, 2 * w))
+    E[:, :, :w] = block
+    E[:, :, w:] = np.eye(w)
+    for i in range(w):
+        row = _reduce(E[:, i, i:w + i + 1], p2, pinv2)
+        inv = []
+        for j, (x, q) in enumerate(zip(row[:, 0].tolist(), primes)):
+            # a zero pivot leaves det at 0 for good, which marks the prime
+            det[j] = det[j] * int(x) % q
+            inv.append(pow(int(x), -1, q) if x else 0)
+        row *= np.array(inv, dtype=np.float64)[:, None]
+        _reduce(row, p2, pinv2)
+        factor = _reduce(E[:, :, i].copy(), p2, pinv2)
+        factor[:, i] = 0
+        E[:, :, i + 1:w + i + 1] -= np.einsum("pi,pj->pij", factor, row[:, 1:])
+    return _reduce(E[:, :, w:], p, pinv)
+
+
 def edc_spanning_trees_formula(G: Graph) -> float:
     """Spanning trees of the extended double cover from the base graph:
     half the exact count for G times the product of (q_i + 2) over the
@@ -244,14 +405,15 @@ def edc_spanning_trees_formula(G: Graph) -> float:
     """
     if G.n < 1:
         raise ParameterError("spanning trees undefined for the empty graph")
-    return _edc_trees_from_base(G, spanning_trees_exact(G))
+    return _finite_count(_edc_trees_from_base(G, spanning_trees_exact(G)), "the cover")
 
 
 def _edc_trees_from_base(G: Graph, tau: int) -> float:
     """The cover's tree count from tau = tau(G), already known."""
     half = 0.5 * _count_as_float(tau, "the base graph")
     q = spectrum_of(G, "signless_laplacian").values
-    return half * float(np.prod([v + 2.0 for v in q]))
+    with np.errstate(over="ignore"):
+        return half * float(np.prod([v + 2.0 for v in q]))
 
 
 def _count_as_float(count: int, what: str) -> float:
@@ -261,6 +423,13 @@ def _count_as_float(count: int, what: str) -> float:
     except OverflowError as exc:
         raise ResourceLimitError(f"the spanning-tree count of {what} ({count.bit_length()} bits) "
                                  f"overflows a float") from exc
+
+
+def _finite_count(count: float, what: str) -> float:
+    """A spanning-tree count from a float route, refused when it overflowed."""
+    if not math.isfinite(count):
+        raise ResourceLimitError(f"the spanning-tree count of {what} overflows a float")
+    return count
 
 
 def edc_spanning_trees_formula_bipartite(G: Graph) -> float:
@@ -273,4 +442,6 @@ def edc_spanning_trees_formula_bipartite(G: Graph) -> float:
         raise ParameterError("bipartite form requires a bipartite graph")
     tau = _count_as_float(spanning_trees_exact(G), "the base graph")
     mu = spectrum_of(G, "laplacian").values
-    return tau * float(np.prod([v + 2.0 for v in mu[1:]]))
+    with np.errstate(over="ignore"):
+        count = tau * float(np.prod([v + 2.0 for v in mu[1:]]))
+    return _finite_count(count, "the cover")

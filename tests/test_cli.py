@@ -6,14 +6,19 @@ command path.  Regenerate after an intentional change with:
     EQUIGRAPH_UPDATE_GOLDENS=1 pytest tests/test_cli.py
 """
 
+import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from equigraph import spectra
 from equigraph.cli import build_parser, main
+from equigraph.graphio import emit_graph
+from equigraph.graphs import complete
 from equigraph.theorems import CLAIMS
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -218,6 +223,35 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--in", "empty.el", "--op", "kfold", "--k", str(10 ** 20), "--out", "edgelist"],
+        ["verify", "--in", "empty.el", "--theorem", "2.7", "--k", str(10 ** 20)],
+    ])
+    def test_huge_fold_count_of_the_empty_graph_is_1(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "empty.el").write_text("0 0\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "above the cap of 4096" in capsys.readouterr().err
+
+    def test_iterated_cover_claim_on_the_empty_graph_sums_no_binomials(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "empty.el").write_text("0 0\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(math, "comb", lambda *args: pytest.fail("binomial loop on an empty spectrum"))
+        assert main(["verify", "--in", "empty.el", "--theorem", "3.3", "--k", "100000"]) == 0
+        assert '"verdict": "confirmed"' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n,method", [(200, None), (200, "eigen"), (100, "edc-formula")])
+    def test_float_tree_count_overflowing_is_1(self, n, method, tmp_path, monkeypatch, capsys):
+        """The float routes refuse a count beyond the float range, with no
+        overflow warning and no printed inf."""
+        (tmp_path / "kn.el").write_text(emit_graph(complete(n), "edgelist").payload)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["trees", "--in", "kn.el"] + (["--method", method] if method else [])) == 1
+        captured = capsys.readouterr()
+        assert "overflows a float" in captured.err and "inf" not in captured.out
+
 
 class TestConstructOutput:
     def test_edc_of_k2_is_c4(self, monkeypatch, capsys):
@@ -282,3 +316,26 @@ def test_argument_parser_is_built_once(monkeypatch, capsys):
     assert main(["energy", "--in", "k2.el", "--kind", "e"]) == 0
     capsys.readouterr()
     assert build_parser.cache_info().misses == 1
+
+
+N_ABOVE_CROSSOVER = spectra._BAREISS_MAX_ORDER + 2
+
+
+@pytest.mark.parametrize("argv,exact_count", [
+    (["trees", "--in", "kn.el", "--method", "edc-formula"], N_ABOVE_CROSSOVER ** (2 * N_ABOVE_CROSSOVER - 2)),
+    (["verify", "--in", "kn.el", "--theorem", "3.5"], N_ABOVE_CROSSOVER ** (N_ABOVE_CROSSOVER - 2)),
+], ids=["trees-edc-formula", "verify-3.5"])
+def test_tree_counts_above_the_crossover_run_one_determinant_per_graph(argv, exact_count, tmp_path,
+                                                                       monkeypatch, capsys):
+    """One exact determinant of G and one of its cover, both past the order
+    where the modular route takes over from Bareiss."""
+    n = N_ABOVE_CROSSOVER
+    (tmp_path / "kn.el").write_text(emit_graph(complete(n), "edgelist").payload)
+    monkeypatch.chdir(tmp_path)
+    orders = []
+    modular = spectra._modular_determinant
+    monkeypatch.setattr(spectra, "_modular_determinant", lambda m: orders.append(len(m)) or modular(m))
+    monkeypatch.setattr(spectra, "_bareiss_determinant", None)
+    assert main(argv) in (0, 3)
+    assert orders == [n - 1, 2 * n - 1]
+    assert str(exact_count) in capsys.readouterr().out

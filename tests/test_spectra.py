@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equigraph import spectra
 from equigraph.errors import ContractViolationError, ParameterError, ResourceLimitError
 from equigraph.graphs import (
     Graph,
@@ -21,6 +23,7 @@ from equigraph.graphs import (
     disjoint_union,
     empty,
     extended_double_cover,
+    hypercube,
     iterated_edc,
     join,
     kronecker_product,
@@ -228,6 +231,115 @@ class TestSpanningTrees:
     def test_rejects_empty_graph(self):
         with pytest.raises(ParameterError):
             spanning_trees_exact(Graph(0, frozenset()))
+
+
+def laplacian_minor(G: Graph) -> np.ndarray:
+    n = G.n
+    minor = np.subtract(0, G.adjacency[:n - 1, :n - 1], dtype=np.int64)
+    minor.flat[::n] = G.degrees()[:n - 1]
+    return minor
+
+
+@st.composite
+def connected_graphs(draw, max_n=60):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    A = np.triu(rng.random((n, n)) < draw(st.floats(min_value=0.0, max_value=1.0)), 1)
+    A[rng.integers(0, np.arange(1, n)), np.arange(1, n)] = True
+    return Graph._from_array(A | A.T)
+
+
+def hypercube_trees(s: int) -> int:
+    """tau(Q_s) = 2^(2^s - s - 1) * prod_k k^C(s, k)."""
+    return 2 ** (2 ** s - s - 1) * math.prod(k ** math.comb(s, k) for k in range(1, s + 1))
+
+
+def count_primes(monkeypatch, primes=None) -> list[int]:
+    """Record every prime the modular determinant draws; optionally inject
+    the sequence it draws from."""
+    drawn = []
+    source = spectra._primes
+
+    def recorded():
+        for q in (source() if primes is None else primes):
+            drawn.append(q)
+            yield q
+    monkeypatch.setattr(spectra, "_primes", recorded)
+    return drawn
+
+
+def fewest_primes(primes, bound: int) -> int:
+    """Length of the shortest prefix of primes whose product exceeds bound."""
+    product = 1
+    for count, q in enumerate(primes, start=1):
+        product *= q
+        if product > bound:
+            return count
+    raise AssertionError("prime list too short")
+
+
+class TestModularDeterminant:
+    @given(connected_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_bareiss(self, G):
+        minor = laplacian_minor(G)
+        assert spectra._modular_determinant(minor) == spectra._bareiss_determinant(minor.tolist())
+
+    @pytest.mark.parametrize("G,count", [
+        (complete(100), 100 ** 98),
+        (complete(200), 200 ** 198),
+        (complete_bipartite(30, 45), 30 ** 44 * 45 ** 29),
+        (cycle(160), 160),
+        (hypercube(7), hypercube_trees(7)),
+        (extended_double_cover(complete(40)), 40 ** 78),
+    ], ids=["K100", "K200", "K30,45", "C160", "Q7", "cover-K40"])
+    def test_kirchhoff_closed_forms_above_the_crossover(self, G, count, monkeypatch):
+        assert G.n - 1 > spectra._BAREISS_MAX_ORDER
+        monkeypatch.setattr(spectra, "_bareiss_determinant", None)
+        assert spanning_trees_exact(G) == count
+
+    def test_disconnected_graph_is_0_before_any_elimination(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_bareiss_determinant", None)
+        monkeypatch.setattr(spectra, "_modular_determinant", None)
+        assert spanning_trees_exact(disjoint_union(complete(40), cycle(30))) == 0
+        assert spanning_trees_exact(empty(60)) == 0
+
+    def test_uses_the_fewest_primes_the_hadamard_bound_allows(self, monkeypatch):
+        """K_129: the diagonal is 128, and 128**128 and twice it need
+        different numbers of primes."""
+        fewest = fewest_primes(spectra._primes(), 2 * 128 ** 128)
+        expected = [q for q, _ in zip(spectra._primes(), range(fewest))]
+        drawn = count_primes(monkeypatch)
+        assert spectra._modular_determinant(laplacian_minor(complete(129))) == 129 ** 127
+        assert drawn == expected
+
+    def test_a_prime_meeting_a_zero_pivot_is_replaced(self, monkeypatch):
+        """The leading k x k minor of K_n's Laplacian minor is n^(k-1) (n-k),
+        so 97 divides it for K_100 at k = 3."""
+        odd = [q for q in range(101, 4000, 2) if all(q % d for d in range(3, math.isqrt(q) + 1, 2))]
+        drawn = count_primes(monkeypatch, [97] + odd)
+        assert spectra._modular_determinant(laplacian_minor(complete(100))) == 100 ** 98
+        assert drawn == [97] + odd[:fewest_primes(odd, 2 * 99 ** 99)]
+
+    def test_primes_are_the_largest_below_the_float_limit_in_order(self):
+        """Checked against a Fermat test to bases 2, 3, 5 and 7."""
+        primes = [q for q, _ in zip(spectra._primes(), range(20))]
+        fermat = [c for c in range(2 ** 23 - 1, primes[-1] - 1, -2)
+                  if all(pow(a, c - 1, c) == 1 for a in (2, 3, 5, 7))]
+        assert primes == fermat
+        assert spectra._BLOCK * primes[0] ** 2 < 2 ** 53
+
+    def test_selects_bareiss_up_to_the_crossover(self, monkeypatch):
+        orders = []
+        for name in ("_bareiss_determinant", "_modular_determinant"):
+            routine = getattr(spectra, name)
+            monkeypatch.setattr(spectra, name, lambda m, f=routine, name=name: orders.append(
+                (name, len(m))) or f(m))
+        top = spectra._BAREISS_MAX_ORDER
+        assert spanning_trees_exact(complete(top + 1)) == (top + 1) ** (top - 1)
+        assert spanning_trees_exact(complete(top + 2)) == (top + 2) ** top
+        assert orders == [("_bareiss_determinant", top), ("_modular_determinant", top + 1)]
 
 
 class TestEdcTreesFormula:
