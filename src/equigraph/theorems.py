@@ -49,6 +49,7 @@ from .spectra import (
     spanning_trees_exact,
     is_laplacian_integral,
     spectral_distance,
+    spectral_energy,
     spectrum_of,
 )
 
@@ -165,10 +166,9 @@ def _tensor_k2_power(G: Graph, s: int) -> Graph:
     return out
 
 
-def _eig_signature_difference(G: Graph, eps: float) -> int:
-    """Count of nonnegative minus count of negative adjacency eigenvalues,
-    with a zero-band: |v| <= eps classifies as nonnegative."""
-    lam = spectrum_of(G, "adjacency").values
+def _eig_signature_difference(lam: tuple[float, ...], eps: float) -> int:
+    """Count of nonnegative minus count of negative eigenvalues, with a
+    zero-band: |v| <= eps classifies as nonnegative."""
     return sum(1 if v >= -eps else -1 for v in lam)
 
 
@@ -258,7 +258,7 @@ def check_edc_tensor_vs_iterated_energy(G: Graph, eps: float = EPS_ENERGY) -> Th
     e_iter = energy(extended_double_cover(cover)).value
     lam = spectrum_of(G, "adjacency").values
     hyp = {"nonzero_eigs_at_least_2": all(abs(v) >= 2.0 - eps for v in lam if abs(v) > eps)}
-    theta = _eig_signature_difference(G, eps)
+    theta = _eig_signature_difference(lam, eps)
     closed = 4.0 * sum(abs(v) for v in lam) + 4.0 * theta
     return make_report("2.8", hyp, (closed, closed), (e_tensor, e_iter), eps,
                        {"theta": theta})
@@ -381,13 +381,13 @@ def check_le_doubling(G: Graph, eps: float = EPS_ENERGY) -> TheoremReport:
     if G.n == 0:
         raise ParameterError("Laplacian energy undefined for the empty graph")
     direct = laplacian_energy(extended_double_cover(G)).value
-    mu = spectrum_of(G, "laplacian").values
-    avg = 2.0 * G.m / G.n
+    le, spec = spectral_energy(G, "laplacian")
+    mu, avg = spec.values, le.avg_degree
     hyp = {
         "bipartite": is_bipartite(G),
         "le_gaps_at_least_1": all(abs(v - avg) >= 1.0 - eps for v in mu),
     }
-    doubled = 2.0 * laplacian_energy(G).value
+    doubled = 2.0 * le.value
     return make_report("4.2", hyp, (doubled,), (direct,), eps,
                        {"min_gap": min(abs(v - avg) for v in mu)})
 

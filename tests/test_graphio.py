@@ -9,7 +9,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equigraph.errors import EquigraphError, ParameterError, ParseError, ResourceLimitError, ValidationError
 from equigraph.graphio import (
@@ -21,6 +21,9 @@ from equigraph.graphio import (
     encode_edgelist,
     encode_graph6,
     parse_graph,
+    _decode_edgelist_arrays,
+    _decode_edgelist_lines,
+    _edgelist_tokens,
 )
 from equigraph.graphs import (
     Graph,
@@ -249,3 +252,83 @@ def test_non_ascii_digits_are_parse_errors(text):
     assert detect_format(text) == "edgelist"
     with pytest.raises(ParseError):
         decode_edgelist(text)
+
+
+_FAULTS = ("count", "cap", "range", "loop", "duplicate", "token", "sign", "unicode", "extra", "short",
+           "long")
+_UNICODE_DIGITS = (str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"),
+                   str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"))
+
+
+@st.composite
+def edgelist_documents(draw):
+    """Edge-list documents in assorted spacing, valid or with one fault, and
+    sometimes one stray character."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    rows = [[str(n), ""]] + [[str(u), str(v)] if draw(st.booleans()) else [str(v), str(u)]
+                             for u, v in edges]
+    fault = draw(st.sampled_from((None,) * 4 + _FAULTS))
+    row = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, 1))
+    if fault == "range":
+        rows.append([str(n + draw(st.integers(0, 3))), "0"])
+    elif fault == "loop":
+        rows.append([str(draw(st.integers(0, 9)))] * 2)
+    elif fault == "duplicate" and edges:
+        rows.append(rows[draw(st.integers(1, len(edges)))][::-1])
+    rows[0][1] = str(len(rows) - 1 + (draw(st.sampled_from((-1, 1))) if fault == "count" else 0))
+    if fault == "cap":
+        rows[0][0] = "5000"
+    elif fault == "token":
+        rows[row][col] = draw(st.sampled_from(("x", "1.5", "0x1", "1e2", "")))
+    elif fault == "sign":
+        rows[row][col] = draw(st.sampled_from("+-")) + rows[row][col]
+    elif fault == "unicode":
+        rows[row][col] = rows[row][col].translate(draw(st.sampled_from(_UNICODE_DIGITS)))
+    elif fault == "extra":
+        rows[row].append("0")
+    elif fault == "short":
+        rows[row].pop()
+    elif fault == "long":
+        rows[row][col] = draw(st.sampled_from("09")) * draw(st.integers(15, 22)) + rows[row][col]
+    gap = st.sampled_from((" ", "\t", "  ", " \t", "\u00a0"))
+    lines = [draw(st.sampled_from(("", " ", "\t"))) + draw(gap).join(r) + draw(st.sampled_from(("", " ")))
+             for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", "  ", "\t"))))
+    doc = draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(doc)))
+        doc = doc[:at] + draw(st.sampled_from(list("0123456789 \t\n\r+-x\u0663\u00a0\x0b\x00"))) + doc[at:]
+    return doc
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except Exception as exc:  # the parsers must fail alike, whatever the class
+        return type(exc), str(exc)
+
+
+def _arrays_then_lines(text):
+    G = _decode_edgelist_arrays(text)
+    return _decode_edgelist_lines(text) if G is None else G
+
+
+@given(edgelist_documents())
+@example("3 1\n0 1\n1 0")
+@settings(max_examples=500, deadline=None)
+def test_edgelist_array_pass_matches_line_parser(text):
+    expected = _outcome(_decode_edgelist_lines, text)
+    assert _outcome(_arrays_then_lines, text) == expected
+    assert _outcome(decode_edgelist, text) == expected
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_emitted_edgelists_take_the_array_pass(G):
+    text = encode_edgelist(G)
+    assert _edgelist_tokens(text).tolist() == [int(tok) for tok in text.split()]
+    assert _edgelist_tokens(text.replace("\n", "\r\n")).tolist() == [int(tok) for tok in text.split()]

@@ -319,6 +319,23 @@ class TestTreesAndIntegrality:
         assert run_check("3.7", path(4), eps=0.5).details["q_integral"]
 
 
+@pytest.mark.parametrize("tid, G, solves", [("2.8", complete_bipartite(2, 2), 3),
+                                            ("2.8", complete(3), 3),
+                                            ("4.2", cycle(6), 2),
+                                            ("4.2", path(3), 2)])
+def test_one_eigensolve_per_distinct_matrix(tid, G, solves, monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(M):
+        solved.append(M.tobytes())
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    run_check(tid, G)
+    assert len(solved) == len(set(solved)) == solves
+
+
 class TestLeChecks:
     def test_le_doubling_k2(self):
         r = check_le_doubling(complete(2))
