@@ -150,14 +150,14 @@ def cmd_energy(args) -> tuple[dict, int]:
 
 
 def cmd_construct(args) -> tuple[dict, int]:
+    if (args.withfile is None) != (args.op2 is None):
+        raise EquigraphError("--with and --op2 must be given together")
     G, meta = _load_graph(args.infile)
     inputs = {"in": meta}
     out = UNARY_OPS[args.op](G, args.k)
     options = {"op": args.op, "out": args.out}
     if args.k is not None:
         options["k"] = args.k
-    if (args.withfile is None) != (args.op2 is None):
-        raise EquigraphError("--with and --op2 must be given together")
     if args.withfile is not None:
         G2, meta2 = _load_graph(args.withfile)
         inputs["with"] = meta2

@@ -22,6 +22,13 @@ _G6_MIN, _G6_MAX = 63, 126
 # The edge-list array pass costs about 35 us whatever the length (2-vCPU x86-64
 # host); below this many characters, some 25 edge lines, the line loop is faster.
 _ARRAY_PARSE_MIN_CHARS = 128
+# The label-table emit costs some 25 us more than "%" formatting up front and a
+# third as much per edge (same host); from about this many edges on it is faster.
+_ARRAY_EMIT_MIN_EDGES = 160
+# Splitting 3-byte words costs some 20 us of fixed numpy calls; below this many
+# triangle bits (n of about 200) one packbits over 8-bit rows is faster.
+_G6_WORD_MIN_BITS = 20000
+_PAD = 0  # the left padding of `_label_table`, which no emitted byte equals
 
 
 @dataclass(frozen=True)
@@ -133,7 +140,7 @@ def _decode_edgelist_lines(text: str) -> Graph:
     if len(parts) != 2:
         raise ParseError(f"line {lineno}: header must be 'n m', got {header!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = _ascii_int(parts[0]), _ascii_int(parts[1])
     except ValueError as exc:
         raise ParseError(f"line {lineno}: header must be two integers, got {header!r}") from exc
     if n < 0 or m < 0:
@@ -147,7 +154,7 @@ def _decode_edgelist_lines(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: edge must be 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: edge endpoints must be integers, got {ln!r}") from exc
         if not (0 <= u < n and 0 <= v < n):
@@ -165,11 +172,51 @@ def _decode_edgelist_lines(text: str) -> Graph:
     return Graph._from_array(A)
 
 
+def _ascii_int(token: str) -> int:
+    """An optionally negative run of ASCII digits as an int.  `int` alone
+    would also take "_" separators, a "+" sign and any Unicode digit."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
 def encode_edgelist(G: Graph) -> str:
-    """Header, then one "u v" line per edge in sorted order."""
+    """Header, then one "u v" line per edge in sorted order.
+
+    From `_ARRAY_EMIT_MIN_EDGES` edges on, the lines are gathered from a
+    label table rather than formatted one by one (see `_label_table`): each
+    endpoint becomes one fixed-width D + 1 byte record, "u " or "v\n", and
+    one mask then drops every padding byte."""
     u, v = G.edge_arrays()
-    ends = np.column_stack((u, v)).ravel().tolist()
-    return f"{G.n} {G.m}\n" + "%d %d\n" * u.size % tuple(ends)
+    header = f"{G.n} {u.size}\n"
+    if u.size < _ARRAY_EMIT_MIN_EDGES:
+        return header + "%d %d\n" * u.size % tuple(np.column_stack((u, v)).ravel().tolist())
+    rows = np.empty(2 * u.size, dtype=np.intp)
+    rows[0::2] = u
+    rows[1::2] = v + G.n
+    records = np.take(_label_table(G.n), rows, axis=0)
+    return header + records[records != _PAD].tobytes().decode("ascii")
+
+
+def _label_table(n: int) -> np.ndarray:
+    """A 2n x (D + 1) byte table, D the digit count of n - 1: row u holds
+    label u right-aligned in D bytes and a space, row n + u the same label
+    and a newline.  The left padding is the byte `_PAD`, which no record
+    keeps, so the real separators survive the mask that drops it.  Digit
+    column p of the labels 0..n-1 is each of 0-9 repeated 10^p times,
+    cycled, and its padding is the prefix of labels below 10^p."""
+    width = len(str(max(n - 1, 0)))
+    table = np.empty((2, n, width + 1), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for p in range(width):
+        column = np.tile(np.repeat(digits, 10 ** p), -(-n // 10 ** (p + 1)))[:n]
+        if p:  # no leading zeros; label 0 shows one digit
+            column[:10 ** p] = _PAD
+        table[:, :, width - 1 - p] = column
+    table[0, :, width] = ord(" ")
+    table[1, :, width] = ord("\n")
+    return table.reshape(2 * n, width + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +226,33 @@ def encode_edgelist(G: Graph) -> str:
 def encode_graph6(G: Graph) -> str:
     """N(n), then bit (i, j) for 0 <= i < j < n in column order (j outer),
     six bits per byte, offset by 63.  Column order of the upper triangle is
-    row order of the lower one, and the array is symmetric."""
+    row order of the lower one, and the array is symmetric.
+
+    From `_G6_WORD_MIN_BITS` bits on, the bits, zero-padded to a multiple
+    of 24, pack into 3-byte words, and integer shifts split each word into
+    its four 6-bit codes.  Below it, each 6-bit group is written into the
+    low end of its own 8-bit row and one flat packbits makes the codes.
+    Codes of the padding past the last partial group are dropped."""
     n = G.n
     bits = G.adjacency[np.tri(n, k=-1, dtype=bool)]
-    groups = np.zeros(-(-bits.size // 6) * 6, dtype=bool)
-    groups[:bits.size] = bits
-    body = (np.packbits(groups.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
-    return _encode_g6_order(n) + body.tobytes().decode("ascii")
+    ncodes = -(-bits.size // 6)
+    if bits.size < _G6_WORD_MIN_BITS:
+        padded = np.zeros(ncodes * 6, dtype=bool)
+        padded[:bits.size] = bits
+        rows = np.zeros((ncodes, 8), dtype=bool)
+        rows[:, 2:] = padded.reshape(-1, 6)
+        codes = np.packbits(rows)
+    else:
+        padded = np.zeros(-(-bits.size // 24) * 24, dtype=bool)
+        padded[:bits.size] = bits
+        b0, b1, b2 = np.packbits(padded).reshape(-1, 3).T
+        words = np.empty((b0.size, 4), dtype=np.uint8)
+        words[:, 0] = b0 >> 2
+        words[:, 1] = (b0 & 3) << 4 | b1 >> 4
+        words[:, 2] = (b1 & 15) << 2 | b2 >> 6
+        words[:, 3] = b2 & 63
+        codes = words.ravel()[:ncodes]
+    return _encode_g6_order(n) + (codes + 63).tobytes().decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:

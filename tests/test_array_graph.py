@@ -4,7 +4,12 @@ Every construction, both encoders and the derived views must agree exactly
 with `edgeset_reference`: on hypothesis graphs with n <= 12, and on seeded
 graphs of 63, 64, 100 and 257 vertices, whose graph6 strings carry the
 four-byte order field (n >= 63); the upper triangles of 63 and 257 vertices
-end in a partial 6-bit group, those of 64 and 100 in a full one.
+end in a partial 6-bit group, those of 64 and 100 in a full one.  Larger
+seeded cases reach the paths those sizes miss: the 24-bit-word graph6 encoder
+at triangles of 0, 6, 12 and 18 bits mod 24, the label-table edge-list encoder
+at 4-digit labels, a sparse and a dense Kronecker factor in both orders, and
+k-fold graphs up to the cap.  They compare codecs and products only, because
+the reference line graph is quadratic in m.
 """
 
 import copy
@@ -23,7 +28,15 @@ import edgeset_reference as ref
 import equigraph
 from equigraph import graphs as g
 from equigraph.errors import ValidationError
-from equigraph.graphio import decode_edgelist, decode_graph6, encode_edgelist, encode_graph6
+from equigraph.graphio import (
+    _ARRAY_EMIT_MIN_EDGES,
+    _G6_WORD_MIN_BITS,
+    decode_edgelist,
+    decode_graph6,
+    encode_edgelist,
+    encode_graph6,
+)
+from equigraph.limits import vertex_cap
 from equigraph.search import triangle_count
 from equigraph.spectra import _bareiss_determinant, matrix_of, spanning_trees_exact
 
@@ -133,6 +146,49 @@ class TestAgainstEdgeSetReference:
         assert_binary_constructions_match(G, g.complete(2))
         assert ref.of(g.join(G, G)) == ref.join(ref.of(G), ref.of(G))
         assert_views_match(G)
+
+
+def array_random_graph(rng, n, p):
+    """G(n, p) drawn as one array, for sizes where a Python loop per pair is slow."""
+    A = np.triu(rng.random((n, n)) < p, 1)
+    return g.Graph._from_array(A | A.T)
+
+
+class TestAgainstReferenceAtScale:
+    @pytest.mark.parametrize("n,rem24", [(208, 0), (205, 6), (201, 12), (204, 18), (1000, 12), (1001, 4)])
+    def test_seeded_codecs(self, n, rem24):
+        """Word-path triangles of every multiple of 6 mod 24, and 4-digit
+        labels with a full (1000) and a partial (1001) last 6-bit group."""
+        nbits = n * (n - 1) // 2
+        assert nbits % 24 == rem24 and nbits >= _G6_WORD_MIN_BITS
+        G = array_random_graph(np.random.default_rng(n), n, 8.0 / n)
+        assert G.m >= _ARRAY_EMIT_MIN_EDGES
+        assert_codecs_match(G)
+
+    @pytest.mark.parametrize("n1,p1,n2,p2", [
+        (1024, 4 / 1024, 2, 1.0),  # G (x) K_2: two strided blocks
+        (2, 1.0, 1024, 4 / 1024),  # K_2 (x) G: half-full first factor, long inner axis: one broadcast fill
+        (40, 0.05, 48, 0.3),  # the sparser factor first: block loop
+        (48, 0.3, 40, 0.05),  # the sparser factor second: block loop
+        (32, 0.4, 32, 0.4),  # both dense: one broadcast fill
+    ])
+    def test_seeded_kronecker_products(self, n1, p1, n2, p2):
+        rng = np.random.default_rng(n1 * n2)
+        G1, G2 = array_random_graph(rng, n1, p1), array_random_graph(rng, n2, p2)
+        assert ref.of(g.kronecker_product(G1, G2)) == ref.kronecker_product(ref.of(G1), ref.of(G2))
+
+    @pytest.mark.parametrize("n,p,k", [
+        (1000, 4 / 1000, 1), (1000, 4 / 1000, 2), (1000, 4 / 1000, 3),  # J_k the sparser factor
+        (12, 0.15, 40),  # A sparser: one all-ones block per nonzero
+        (4, 1.0, 40),  # A dense, long inner axis: one broadcast fill
+    ])
+    def test_seeded_k_folds(self, n, p, k):
+        G = array_random_graph(np.random.default_rng(n * k), n, p)
+        assert ref.of(g.k_fold(G, k)) == ref.k_fold(ref.of(G), k)
+
+    def test_k_fold_of_one_vertex_at_the_cap(self):
+        F = g.k_fold(g.complete(1), vertex_cap())
+        assert F.n == vertex_cap() and F.m == 0
 
 
 class TestGraphType:

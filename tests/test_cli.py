@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equigraph import spectra
+from equigraph import cli, spectra
 from equigraph.cli import build_parser, main
 from equigraph.graphio import emit_graph
 from equigraph.graphs import complete
@@ -129,10 +129,18 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_with_without_op2_is_1(self, monkeypatch, capsys):
+        """Either flag alone is a usage error, refused before any input is
+        read or any construction runs."""
         monkeypatch.chdir(DATA_DIR)
+        calls = []
+        monkeypatch.setattr(cli, "_load_graph", lambda path: calls.append(path))
+        monkeypatch.setitem(cli.UNARY_OPS, "edc", lambda G, k: calls.append("edc"))
         assert main(["construct", "--in", "k2.el", "--op", "edc",
                      "--with", "k3.el", "--out", "graph6"]) == 1
-        capsys.readouterr()
+        assert main(["construct", "--in", "k2.el", "--op", "edc",
+                     "--op2", "join", "--out", "graph6"]) == 1
+        assert capsys.readouterr().err.count("--with and --op2 must be given together") == 2
+        assert calls == []
 
     def test_deviation_verdict_is_3(self, monkeypatch, capsys):
         # force a deviation by tightening eps below eigensolver noise

@@ -247,7 +247,8 @@ def test_parsers_raise_only_equigraph_errors(text):
         pass
 
 
-@pytest.mark.parametrize("text", ["\u00b2 1\n0 1", "2 1\n\u00b2 1", "3 \u00b2"])
+@pytest.mark.parametrize("text", ["\u00b2 1\n0 1", "2 1\n\u00b2 1", "3 \u00b2", "3 1\n0 0_2", "3 1\n0 +2",
+                                  "2 1\n\u0660 \u0661", "\u0663 1\n0 1"])
 def test_non_ascii_digits_are_parse_errors(text):
     assert detect_format(text) == "edgelist"
     with pytest.raises(ParseError):
