@@ -3,15 +3,25 @@
 A graph is one read-only n x n boolean adjacency array, and every
 construction is the matrix identity its docstring states.  Every named
 family and construction refuses a result above the vertex cap (see
-`limits`) before allocating it.  Vertices are
-always labelled 0..n-1, and each constructor fixes a vertex ordering
-explicitly so that the identities hold literally:
+`limits`) before allocating it.
+
+A graph is checked where it enters the program: `Graph(n, edges)`,
+`Graph.from_edges` and the decoders in `graphio` refuse malformed input and
+a vertex count above the cap.  The families and constructions here are
+trusted: each identity is square, symmetric and loop-free by its form, so
+its array goes to `Graph._from_array` unchecked, and the tests assert that
+invariant on every result.
+
+Vertices are always labelled 0..n-1, and each constructor fixes a vertex
+ordering explicitly so that the identities hold literally:
 
   * extended double cover: first class keeps labels 0..n-1, the mirror
     class gets n..2n-1;
   * products on (u, v) pairs: (u, v) -> u * n2 + v;
   * k-fold graphs interleave copies: copy a of vertex u -> u * k + a,
-    which makes the adjacency matrix equal A(G) (x) J_k entrywise.
+    which makes the adjacency matrix equal A(G) (x) J_k entrywise;
+  * disjoint copies stack them: copy c of vertex u -> c * n + u, which
+    makes it I_k (x) A(G).
 """
 
 from __future__ import annotations
@@ -66,16 +76,9 @@ class Graph:
 
     @classmethod
     def _from_array(cls, A: np.ndarray) -> "Graph":
-        """Adopt a square, symmetric, zero-diagonal boolean array.  It is not
-        copied but made read-only, so the caller must hold no other writable
-        reference to it."""
-        A = np.asarray(A, dtype=bool)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValidationError(f"adjacency must be a square array, got shape {A.shape}")
-        if np.count_nonzero(A.diagonal()):
-            raise ValidationError(f"loop at vertex {int(A.diagonal().argmax())} not allowed")
-        if not _is_symmetric(A):
-            raise ValidationError("adjacency array is not symmetric")
+        """Adopt a boolean array that is square, symmetric and zero-diagonal
+        by construction, with no re-check and no copy; it becomes read-only,
+        so the caller must hold no other writable reference to it."""
         G = object.__new__(cls)
         G._init(A)
         return G
@@ -132,19 +135,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
-
-
-_TILE = 256
-
-
-def _is_symmetric(A: np.ndarray) -> bool:
-    """A == A.T, compared tile by tile above one tile: a whole-array
-    transpose of a large boolean array is several times slower."""
-    n = A.shape[0]
-    if n <= _TILE:
-        return A.tobytes() == A.T.tobytes()
-    return all(A[i:i + _TILE, j:j + _TILE].tobytes() == A[j:j + _TILE, i:i + _TILE].T.tobytes()
-               for i in range(0, n, _TILE) for j in range(i, n, _TILE))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +287,12 @@ def disjoint_union(G1: Graph, G2: Graph) -> Graph:
 
 
 def copies(G: Graph, k: int) -> Graph:
+    """I_k (x) A: k disjoint copies, copy c of vertex u labelled c*n + u."""
     if k < 1:
         raise ParameterError(f"number of copies must be positive, got {k}")
-    out = G
-    for _ in range(k - 1):
-        out = disjoint_union(out, G)
-    return out
+    check_cap(G.n * k, "disjoint copies")
+    check_cap(k, "the copies of one vertex")  # a 0-vertex G passes the first check; I_k takes no huge k
+    return Graph._from_array(_kron(np.eye(k, dtype=bool), k, G.adjacency, 2 * G.m))
 
 
 def join(G1: Graph, G2: Graph) -> Graph:
@@ -326,13 +316,6 @@ def cartesian_product(G1: Graph, G2: Graph) -> Graph:
     return Graph._from_array(C.reshape(n1 * n2, n1 * n2))
 
 
-# Above this many vertices in the second factor one broadcast logical_and over
-# the whole result beats block writes once the sparser factor is more than a
-# quarter full; with a shorter inner axis it is slower than any block loop
-# (2-vCPU x86-64 host, n1 n2 up to 4096).
-_BROADCAST_MIN_INNER = 32
-
-
 def _kron(A1: np.ndarray, nnz1: int, A2: np.ndarray, nnz2: int) -> np.ndarray:
     """A1 (x) A2 for square boolean arrays holding nnz1 and nnz2 nonzeros.
 
@@ -340,22 +323,16 @@ def _kron(A1: np.ndarray, nnz1: int, A2: np.ndarray, nnz2: int) -> np.ndarray:
     starts at zero; for each nonzero (i, j) of the factor with fewer
     nonzeros, the other factor is written into block [i, :, j, :] (A1
     sparser) or [:, i, :, j] (A2 sparser).  The Python loop therefore runs
-    min(nnz1, nnz2) times, and each write is one strided numpy copy.  When
-    the sparser factor is more than a quarter full and n2 is at least
-    `_BROADCAST_MIN_INNER`, one broadcast logical_and fills the result
-    instead, with no loop.
+    min(nnz1, nnz2) times, and each write is one strided numpy copy.
     """
     n1, n2 = A1.shape[0], A2.shape[0]
     C = np.zeros((n1, n2, n1, n2), dtype=bool)
     a1_sparser = nnz1 <= nnz2
-    sparse, other, nnz = (A1, A2, nnz1) if a1_sparser else (A2, A1, nnz2)
-    if n2 >= _BROADCAST_MIN_INNER and 4 * nnz > sparse.size:
-        np.logical_and(A1[:, None, :, None], A2[None, :, None, :], out=C)
-    else:
-        blocks = C if a1_sparser else C.transpose(1, 0, 3, 2)
-        i, j = np.nonzero(sparse)
-        for a, b in zip(i.tolist(), j.tolist()):
-            blocks[a, :, b, :] = other
+    sparse, other = (A1, A2) if a1_sparser else (A2, A1)
+    blocks = C if a1_sparser else C.transpose(1, 0, 3, 2)
+    i, j = np.nonzero(sparse)
+    for a, b in zip(i.tolist(), j.tolist()):
+        blocks[a, :, b, :] = other
     return C.reshape(n1 * n2, n1 * n2)
 
 

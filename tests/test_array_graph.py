@@ -51,23 +51,35 @@ def graphs(draw, max_n=12):
     return g.Graph(n, frozenset(edges))
 
 
+def checked_of(G):
+    """`ref.of(G)` once the adjacency is a square, read-only boolean array,
+    symmetric with a zero diagonal: the invariant that constructions and
+    decoders promise `Graph._from_array`, and that the edge set, read from
+    the upper triangle only, cannot see."""
+    A = G.adjacency
+    assert A.dtype == bool and A.shape == (G.n, G.n) and not A.flags.writeable
+    assert np.array_equal(A, A.T)
+    assert not A.diagonal().any()
+    return ref.of(G)
+
+
 def assert_unary_constructions_match(G):
     E = ref.of(G)
-    assert ref.of(g.complement(G)) == ref.complement(E)
-    assert ref.of(g.extended_double_cover(G)) == ref.extended_double_cover(E)
-    assert ref.of(g.iterated_edc(G, 2)) == ref.iterated_edc(E, 2)
-    assert ref.of(g.double_graph(G)) == ref.double_graph(E)
-    assert ref.of(g.k_fold(G, 3)) == ref.k_fold(E, 3)
-    assert ref.of(g.line_graph(G)) == ref.line_graph(E)
-    assert ref.of(g.copies(G, 3)) == ref.copies(E, 3)
+    assert checked_of(g.complement(G)) == ref.complement(E)
+    assert checked_of(g.extended_double_cover(G)) == ref.extended_double_cover(E)
+    assert checked_of(g.iterated_edc(G, 2)) == ref.iterated_edc(E, 2)
+    assert checked_of(g.double_graph(G)) == ref.double_graph(E)
+    assert checked_of(g.k_fold(G, 3)) == ref.k_fold(E, 3)
+    assert checked_of(g.line_graph(G)) == ref.line_graph(E)
+    assert checked_of(g.copies(G, 3)) == ref.copies(E, 3)
 
 
 def assert_binary_constructions_match(G1, G2):
     E1, E2 = ref.of(G1), ref.of(G2)
-    assert ref.of(g.disjoint_union(G1, G2)) == ref.disjoint_union(E1, E2)
-    assert ref.of(g.join(G1, G2)) == ref.join(E1, E2)
-    assert ref.of(g.cartesian_product(G1, G2)) == ref.cartesian_product(E1, E2)
-    assert ref.of(g.kronecker_product(G1, G2)) == ref.kronecker_product(E1, E2)
+    assert checked_of(g.disjoint_union(G1, G2)) == ref.disjoint_union(E1, E2)
+    assert checked_of(g.join(G1, G2)) == ref.join(E1, E2)
+    assert checked_of(g.cartesian_product(G1, G2)) == ref.cartesian_product(E1, E2)
+    assert checked_of(g.kronecker_product(G1, G2)) == ref.kronecker_product(E1, E2)
 
 
 def assert_codecs_match(G):
@@ -75,8 +87,8 @@ def assert_codecs_match(G):
     g6, el = ref.encode_graph6(E), ref.encode_edgelist(E)
     assert encode_graph6(G) == g6
     assert encode_edgelist(G) == el
-    assert decode_graph6(g6) == G
-    assert decode_edgelist(el) == G
+    for H in (decode_graph6(g6), decode_edgelist(el)):
+        assert checked_of(H) == E and H == G
 
 
 def assert_views_match(G):
@@ -111,7 +123,7 @@ class TestAgainstEdgeSetReference:
         ("cycle", (3,)), ("cycle", (9,)), ("hypercube", (0,)), ("hypercube", (4,)),
     ])
     def test_named_families(self, build, args):
-        assert ref.of(getattr(g, build)(*args)) == getattr(ref, build)(*args)
+        assert checked_of(getattr(g, build)(*args)) == getattr(ref, build)(*args)
 
     @given(graphs())
     @settings(max_examples=80, deadline=None)
@@ -167,28 +179,28 @@ class TestAgainstReferenceAtScale:
 
     @pytest.mark.parametrize("n1,p1,n2,p2", [
         (1024, 4 / 1024, 2, 1.0),  # G (x) K_2: two strided blocks
-        (2, 1.0, 1024, 4 / 1024),  # K_2 (x) G: half-full first factor, long inner axis: one broadcast fill
+        (2, 1.0, 1024, 4 / 1024),  # K_2 (x) G: two blocks of G
         (40, 0.05, 48, 0.3),  # the sparser factor first: block loop
         (48, 0.3, 40, 0.05),  # the sparser factor second: block loop
-        (32, 0.4, 32, 0.4),  # both dense: one broadcast fill
+        (32, 0.4, 32, 0.4),  # both dense: block loop
     ])
     def test_seeded_kronecker_products(self, n1, p1, n2, p2):
         rng = np.random.default_rng(n1 * n2)
         G1, G2 = array_random_graph(rng, n1, p1), array_random_graph(rng, n2, p2)
-        assert ref.of(g.kronecker_product(G1, G2)) == ref.kronecker_product(ref.of(G1), ref.of(G2))
+        assert checked_of(g.kronecker_product(G1, G2)) == ref.kronecker_product(ref.of(G1), ref.of(G2))
 
     @pytest.mark.parametrize("n,p,k", [
         (1000, 4 / 1000, 1), (1000, 4 / 1000, 2), (1000, 4 / 1000, 3),  # J_k the sparser factor
         (12, 0.15, 40),  # A sparser: one all-ones block per nonzero
-        (4, 1.0, 40),  # A dense, long inner axis: one broadcast fill
+        (4, 1.0, 40),  # A dense: one all-ones block per nonzero
     ])
     def test_seeded_k_folds(self, n, p, k):
         G = array_random_graph(np.random.default_rng(n * k), n, p)
-        assert ref.of(g.k_fold(G, k)) == ref.k_fold(ref.of(G), k)
+        assert checked_of(g.k_fold(G, k)) == ref.k_fold(ref.of(G), k)
 
     def test_k_fold_of_one_vertex_at_the_cap(self):
         F = g.k_fold(g.complete(1), vertex_cap())
-        assert F.n == vertex_cap() and F.m == 0
+        assert checked_of(F) == (vertex_cap(), frozenset())
 
 
 class TestGraphType:
@@ -211,16 +223,6 @@ class TestGraphType:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != g.Graph(5, [(0, 1), (2, 3)])
         assert a != g.Graph(4, [(0, 1)])
-
-    @pytest.mark.parametrize("A,fragment", [
-        (np.zeros((2, 3), dtype=bool), "square"),
-        (np.eye(3, dtype=bool), "loop"),
-        (np.triu(np.ones((3, 3), dtype=bool), 1), "symmetric"),
-        (np.triu(np.ones((300, 300), dtype=bool), 1), "symmetric"),
-    ])
-    def test_from_array_validates(self, A, fragment):
-        with pytest.raises(ValidationError, match=fragment):
-            g.Graph._from_array(A)
 
     @pytest.mark.parametrize("edges,fragment", [
         ([(0, 3)], r"edge \(0, 3\) invalid for n=3"),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equigraph.errors import ParameterError, ValidationError
+from equigraph.errors import ParameterError, ResourceLimitError, ValidationError
 from equigraph.graphs import (
     Graph,
     build_named,
@@ -146,6 +146,10 @@ class TestUnionJoin:
     def test_copies_rejects_zero(self):
         with pytest.raises(ParameterError):
             copies(complete(2), 0)
+
+    def test_copies_of_the_empty_graph_refuse_a_huge_count_at_once(self):
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            copies(Graph(0, []), 10**12)
 
     def test_join_is_complete_bipartite(self):
         assert join(empty(2), empty(2)) == complete_bipartite(2, 2)
