@@ -248,7 +248,8 @@ def connected_components(G: Graph) -> list[list[int]]:
 
 
 def is_connected(G: Graph) -> bool:
-    return len(connected_components(G)) <= 1
+    """At most one component: _bfs numbers components from 0."""
+    return bool(_bfs(G.adjacency)[0].max(initial=-1) <= 0)
 
 
 def is_bipartite(G: Graph) -> bool:

@@ -3,6 +3,13 @@
 Reports are emitted as pretty-printed JSON with keys sorted and every
 float rendered at 12 significant digits with trailing zeros trimmed, so
 byte-for-byte diffs of reports are meaningful.
+
+The renderer dispatches on a value's exact built-in type, in this order:
+dict, list or tuple, float, str, bool, int, None.  Strings and keys are
+quoted by the C function that `json.dumps` ends in.  Everything else,
+numpy scalars (np.float64, np.int64, np.bool_) and subclasses included,
+takes the fallback, which decides by isinstance and the `numbers` ABCs,
+so every value renders as it would through those checks alone.
 """
 
 from __future__ import annotations
@@ -11,8 +18,11 @@ import hashlib
 import json
 import math
 import numbers
+from json.encoder import encode_basestring_ascii as _quote
 
 SCHEMA_VERSION = 1
+
+_INF = math.inf
 
 
 def format_float(x: float) -> str:
@@ -27,29 +37,59 @@ def format_float(x: float) -> str:
 
 def canonical_json(value, indent: int = 0) -> str:
     """Deterministic JSON rendering; dict keys sorted, floats via format_float."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    return _render(value, "  " * indent)
+
+
+def _render(value, pad: str) -> str:
+    """One value at indentation pad; private, so tracing adds no span per value."""
+    t = type(value)
+    if t is dict:
+        return _render_dict(value, pad)
+    if t is list or t is tuple:
+        return _render_list(value, pad)
+    if t is float:
+        if -_INF < value < _INF:
+            return format(value, ".12g") if value else "0"  # "0" for -0.0 as well
+        return format_float(value)
+    if t is str:
+        return _quote(value)
+    if t is bool:
+        return "true" if value else "false"
+    if t is int:
+        return str(value)
+    if value is None:
+        return "null"
+    return _render_other(value, pad)
+
+
+def _render_other(value, pad: str) -> str:
+    """Subclasses, numpy scalars and any other type, by isinstance."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value, key=str):
-            items.append(f"{inner}{json.dumps(str(key))}: {canonical_json(value[key], indent + 1)}")
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return _render_dict(value, pad)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        return _render_list(value, pad)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
         return format_float(float(value))
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
+    return _quote(str(value))
+
+
+def _render_dict(value: dict, pad: str) -> str:
+    if not value:
+        return "{}"
+    inner = pad + "  "
+    items = [f"{_quote(str(key))}: {_render(value[key], inner)}" for key in sorted(value, key=str)]
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+
+
+def _render_list(value, pad: str) -> str:
+    if not value:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join([_render(v, inner) for v in value]) + f"\n{pad}]"
 
 
 def payload_digest(payload: str) -> str:

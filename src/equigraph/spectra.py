@@ -63,7 +63,8 @@ class SymMatrix:
         return self.entries.shape[0]
 
     def max_abs_entry(self) -> float:
-        return float(np.abs(self.entries).max()) if self.entries.size else 0.0
+        M = self.entries  # max |M| without allocating |M|
+        return float(max(M.max(), -M.min())) if M.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,15 @@ class Spectrum:
         if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
             vals = tuple(sorted(vals))
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _of_sorted(cls, values: tuple[float, ...], tol: float) -> "Spectrum":
+        """Adopt Python floats that are ascending already, as LAPACK returns
+        them, with no conversion and no sortedness scan."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", values)
+        object.__setattr__(out, "tol", tol)
+        return out
 
     def __len__(self) -> int:
         return len(self.values)
@@ -116,7 +126,7 @@ def matrix_of(G: Graph, kind: str) -> SymMatrix:
     # 0 - A rather than -A: no negative zeros, so the entries match D - A bit for bit
     M = np.subtract(0.0, A, dtype=np.float64) if kind == "laplacian" else A.astype(np.float64)
     if kind != "adjacency":
-        M.flat[::G.n + 1] = G.degrees()
+        M.flat[::G.n + 1] = G._degree_array()
     return SymMatrix._of_symmetric(M)
 
 
@@ -124,13 +134,15 @@ def eigenvalues(M: SymMatrix) -> Spectrum:
     """Full real spectrum of a symmetric matrix, ascending.
 
     Backed by LAPACK's symmetric solver; deterministic for identical input.
-    The attached tolerance scales with the largest entry so later multiset
-    comparisons default to something sensible.
+    The spectrum is adopted as LAPACK returns it, ascending, converted to
+    Python floats in one `tolist` and not re-checked.  The attached
+    tolerance scales with the largest entry so later multiset comparisons
+    default to something sensible.
     """
     if not isinstance(M, SymMatrix):
         M = SymMatrix(np.asarray(M))
-    vals = np.linalg.eigvalsh(M.entries) if M.order else np.zeros(0)
-    return Spectrum(tuple(float(v) for v in vals), tol=1e-8 * max(1.0, M.max_abs_entry()))
+    vals = np.linalg.eigvalsh(M.entries).tolist() if M.order else []
+    return Spectrum._of_sorted(tuple(vals), tol=1e-8 * max(1.0, M.max_abs_entry()))
 
 
 def spectrum_of(G: Graph, kind: str) -> Spectrum:

@@ -121,6 +121,34 @@ class TestEigenvalues:
     def test_empty_matrix(self):
         assert eigenvalues(matrix_of(Graph(0, frozenset()), "adjacency")).values == ()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 64])
+    def test_trusted_spectrum_matches_the_validating_constructor(self, n):
+        rng = np.random.default_rng(900 + n)
+        for _ in range(5):
+            B = rng.integers(-6, 7, size=(n, n))
+            M = SymMatrix((B + B.T).astype(float))
+            vals = np.linalg.eigvalsh(M.entries) if n else np.zeros(0)
+            largest = float(np.abs(M.entries).max()) if n else 0.0
+            expected = Spectrum(tuple(float(v) for v in vals), tol=1e-8 * max(1.0, largest))
+            S = eigenvalues(M)
+            assert S.values == expected.values and S.tol == expected.tol
+            assert type(S.values) is tuple and all(type(v) is float for v in S.values)
+
+    @pytest.mark.parametrize("entries", [
+        [[0, -7], [-7, 3]],
+        [[0, 5], [5, -2]],
+        [[-1, 4, -4], [4, 0, 2], [-4, 2, -3]],
+        [[0, 0], [0, 0]],
+        [[-0.0]],
+    ])
+    def test_max_abs_entry(self, entries):
+        M = SymMatrix(np.array(entries, dtype=float))
+        assert M.max_abs_entry() == float(np.abs(M.entries).max())
+        assert type(M.max_abs_entry()) is float
+
+    def test_max_abs_entry_of_the_empty_matrix(self):
+        assert SymMatrix(np.zeros((0, 0))).max_abs_entry() == 0.0
+
 
 class TestSpectrumOps:
     def test_c4_laplacian(self):
