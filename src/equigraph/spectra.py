@@ -7,6 +7,24 @@ the spectral route (product of the n-1 largest Laplacian eigenvalues over
 n) and by an exact integer cofactor determinant, so the two routes can
 certify each other.
 
+Large eigensolves deflate twins first.  From order 512 up, indices with
+identical rows (false twins) or identical rows once the diagonal is set
+(true twins) are grouped from the nonzero pattern, and the grouping is
+then checked against the matrix's values: each member must have its
+representative's diagonal entry and its representative's row outside the
+pair.  A class of s twins adds one known eigenvalue s - 1 times, and LAPACK
+solves only the quotient over the classes, when it keeps at most 3/4 of
+the order.  The paper's joins with an empty graph and its k-fold graphs are
+made of such classes: the order-2048 join of family 4.3 has 129, and its
+Laplacian solves in about 23 ms against 520-620 ms for the full matrix.
+Both gates were measured with `tools/bench_eigensolve.py`.  Detection is
+a larger share of a small solve (about 0.5 ms next to 4 ms at order 256,
+1 ms next to 16 ms at 512, 8 ms next to 640 ms at 2048), and below 512 the
+values stay exactly LAPACK's.  A quotient that keeps nearly every index, as
+on random graphs with a few leaf twins, took as long as the dense solve to
+within the run-to-run spread and needs a second matrix of about the same
+size, so it is not built.  Every spectrum still holds all n values.
+
 The exact determinant of a connected graph's Laplacian minor comes from
 Bareiss elimination over Python integers for minors of order up to 26, the
 measured crossover, and above it from elimination modulo primes below
@@ -131,18 +149,123 @@ def matrix_of(G: Graph, kind: str) -> SymMatrix:
 
 
 def eigenvalues(M: SymMatrix) -> Spectrum:
-    """Full real spectrum of a symmetric matrix, ascending.
+    """Full real spectrum of a symmetric matrix, ascending, all n values.
 
     Backed by LAPACK's symmetric solver; deterministic for identical input.
-    The spectrum is adopted as LAPACK returns it, ascending, converted to
-    Python floats in one `tolist` and not re-checked.  The attached
-    tolerance scales with the largest entry so later multiset comparisons
-    default to something sensible.
+    From order 512 (`_DEFLATE_MIN_ORDER`) up, twin indices are deflated
+    first (`_deflated_eigenvalues`).  A class of s indices that can be
+    swapped without changing M contributes its one known eigenvalue, a - b,
+    s - 1 times, and LAPACK solves only the c x c quotient over the c
+    classes.  That happens when 4c <= 3n (`_QUOTIENT_MAX_SHARE`) and M's
+    values, not only its pattern, pass the twin check; otherwise the full
+    matrix is solved.  Below 512 the values are exactly those of
+    `np.linalg.eigvalsh(M.entries)`.  Either way all n values come back,
+    ascending, converted to Python floats in one `tolist` and not
+    re-checked.  The attached tolerance scales with the largest entry so
+    later multiset comparisons default to something sensible.
     """
     if not isinstance(M, SymMatrix):
         M = SymMatrix(np.asarray(M))
-    vals = np.linalg.eigvalsh(M.entries).tolist() if M.order else []
+    vals = _deflated_eigenvalues(M.entries) if M.order >= _DEFLATE_MIN_ORDER else None
+    if vals is None:
+        vals = np.linalg.eigvalsh(M.entries).tolist() if M.order else []
     return Spectrum._of_sorted(tuple(vals), tol=1e-8 * max(1.0, M.max_abs_entry()))
+
+
+# Twin deflation runs from this order up.  Detection is a larger share of a
+# small solve (about 0.5 ms next to 4 ms at 256, 1 ms next to 16 ms at 512),
+# and below it every spectrum stays exactly LAPACK's.
+_DEFLATE_MIN_ORDER = 512
+# The quotient is solved only when it keeps at most this share of the order
+# (4c <= 3n).  On random graphs with a few leaf twins (c near n) it took as
+# long as the dense solve and allocated a second matrix of the same size.
+_QUOTIENT_MAX_SHARE = 0.75
+# rows the value check compares with their representatives at once
+_CHECK_ROWS = 64
+
+
+def _deflated_eigenvalues(M: np.ndarray) -> list[float] | None:
+    """The spectrum of M from its twin classes, or None to solve M densely.
+
+    Indices u and r are twins when swapping them leaves M unchanged.  A
+    class C of s twins then holds the block (a - b) I + b J, with a its
+    diagonal value and b its off-diagonal value, and every vector on C that
+    sums to zero is an eigenvector for a - b, s - 1 of them.  The rest of
+    the spectrum belongs to the vectors constant on each class, an
+    equitable partition (Godsil & Royle, Algebraic Graph Theory, 2001,
+    ch. 9).  Its c x c quotient, symmetrized by sqrt(s), is
+    R[c, c'] = M[r_c, r_c'] * sqrt(s_c * s_c') off the diagonal and
+    R[c, c] = a_c + (s_c - 1) * b_c on it, for representatives r_c.
+
+    Candidates come from the pattern P = (M != 0) with a zero diagonal:
+    false twins share a row of P, true twins a row of P + I.  The classes
+    are used only if M's values pass `_twins_hold`.  Returns None when the
+    quotient would keep more than `_QUOTIENT_MAX_SHARE` of the order, or
+    when the values fail the check.
+    """
+    n = M.shape[0]
+    label, reps, sizes = _twin_classes(M)
+    c = reps.size
+    if c > _QUOTIENT_MAX_SHARE * n:
+        return None
+    members = np.flatnonzero(reps[label] != np.arange(n))
+    member_reps = reps[label[members]]
+    if not _twins_hold(M, members, member_reps):
+        return None
+    b = np.zeros(c)
+    b[label[members]] = M[member_reps, members]
+    a = np.diagonal(M)[reps]
+    root = np.sqrt(sizes)
+    R = M[np.ix_(reps, reps)]
+    R *= root[:, None]
+    R *= root
+    R.flat[::c + 1] = a + (sizes - 1) * b
+    vals = np.concatenate([np.linalg.eigvalsh(R), np.repeat(a - b, sizes - 1)])
+    vals.sort()
+    return vals.tolist()
+
+
+def _twin_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate twin classes of M's pattern: each index's class, each
+    class's representative (its first index) and each class's size.
+
+    Rows are grouped by one `np.unique` over their packed bits viewed as
+    single void items, which is far faster than `np.unique(..., axis=0)`.
+    An index never has both a false and a true twin in a symmetric
+    pattern; should it, the false class wins and the value check decides.
+    """
+    n = M.shape[0]
+    P = M != 0
+    key = np.arange(2 * n, 3 * n)  # singletons
+    for diagonal, offset in ((True, n), (False, 0)):
+        P.flat[::n + 1] = diagonal
+        rows = np.packbits(P, axis=1)
+        _, group, counts = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                                     return_inverse=True, return_counts=True)
+        twin = counts[group] > 1
+        key[twin] = offset + group[twin]
+    _, reps, label, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    return label, reps, sizes
+
+
+def _twins_hold(M: np.ndarray, members: np.ndarray, reps: np.ndarray) -> bool:
+    """True iff swapping each member u of a class with its representative r
+    leaves M unchanged: M[u, u] = M[r, r], and row u equals row r outside
+    {u, r}.  These transpositions generate every permutation of the class,
+    so the class's off-diagonal entries are all one value b; for members u
+    and v, M[r, v] = M[u, v] = M[v, u] = M[r, u].  The rows are compared
+    `_CHECK_ROWS` at a time, so the scratch stays near 2 * 64 * n floats."""
+    if not np.array_equal(M[members, members], M[reps, reps]):
+        return False
+    for i in range(0, members.size, _CHECK_ROWS):
+        u, r = members[i:i + _CHECK_ROWS], reps[i:i + _CHECK_ROWS]
+        same = M[u] == M[r]
+        k = np.arange(u.size)
+        same[k, u] = True
+        same[k, r] = True
+        if not same.all():
+            return False
+    return True
 
 
 def spectrum_of(G: Graph, kind: str) -> Spectrum:

@@ -1,0 +1,132 @@
+"""Time `spectra.eigenvalues` against a dense `np.linalg.eigvalsh` solve.
+
+Two series:
+
+* the composites that the `certify-large` benchmark workload solves (family
+  4.3, 4.6 and eq41 joins with an empty graph, the double and k-fold graphs
+  of `verify 2.6` and `4.kfold-le`, and the Kronecker product and cover that
+  `2.6` and `3.2` solve), each a seeded random instance of the same shape;
+* random graphs with m = 2n and few twins at orders 256-2048, which show
+  the two crossovers of the twin deflation: the cost of detecting twins
+  next to the dense solve (why nothing below order 512 is deflated), and
+  the cost of solving the quotient anyway when it keeps more than 3/4 of
+  the order (why such a quotient is not built).
+
+Each time is the median of --repeat calls on one matrix, interleaved with
+the other calls timed on it.  The result goes to --out as JSON (default
+BENCH_eigensolve.json), with the host's numpy and CPU count.  Needs numpy
+and equigraph only:
+
+    PYTHONPATH=src python tools/bench_eigensolve.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+import numpy as np
+
+from equigraph import spectra
+from equigraph.graphs import (
+    Graph,
+    complete,
+    double_graph,
+    empty,
+    extended_double_cover,
+    join,
+    k_fold,
+    kronecker_product,
+)
+from equigraph.spectra import eigenvalues, matrix_of
+
+
+def gnm(rng: np.random.Generator, n: int, m: int) -> Graph:
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    return Graph(n, map(tuple, pairs[rng.choice(len(pairs), m, replace=False)].tolist()))
+
+
+def median_ms(fns: dict, repeat: int) -> dict:
+    """Median wall time in ms of each callable, the calls interleaved so
+    that drift in the host's speed falls on all of them alike."""
+    times = {name: [] for name in fns}
+    for _ in range(repeat):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(1000.0 * (time.perf_counter() - t0))
+    return {name: statistics.median(ts) for name, ts in times.items()}
+
+
+def forced_quotient(M: np.ndarray) -> None:
+    """Build and solve the quotient even above the class-count gate."""
+    gate = spectra._QUOTIENT_MAX_SHARE
+    spectra._QUOTIENT_MAX_SHARE = 1.0
+    try:
+        spectra._deflated_eigenvalues(M)
+    finally:
+        spectra._QUOTIENT_MAX_SHARE = gate
+
+
+def composites(rng: np.random.Generator) -> list[tuple[str, Graph, str]]:
+    G43, G46, E1, E2 = gnm(rng, 64, 128), gnm(rng, 64, 128), gnm(rng, 64, 60), gnm(rng, 64, 88)
+    G512 = gnm(rng, 512, 1024)
+    return [
+        ("4.3 cover join", join(extended_double_cover(G43), empty(1920)), "laplacian"),
+        ("4.6 double join", join(double_graph(G46), empty(896)), "laplacian"),
+        ("eq41 double join", join(double_graph(E1), empty(896)), "laplacian"),
+        ("eq41 cover join", join(extended_double_cover(E2), empty(896)), "laplacian"),
+        ("2.6 double graph", double_graph(G512), "adjacency"),
+        ("2.6 kronecker with K_2", kronecker_product(G512, complete(2)), "adjacency"),
+        ("4.kfold-le 2-fold", k_fold(G512, 2), "laplacian"),
+        ("3.2 cover", extended_double_cover(G512), "laplacian"),
+    ]
+
+
+def row(name: str, G: Graph, kind: str, repeat: int) -> dict:
+    M = matrix_of(G, kind)
+    classes = spectra._twin_classes(M.entries)[1].size
+    fns = {
+        "eigenvalues_ms": lambda: eigenvalues(M),
+        "dense_ms": lambda: np.linalg.eigvalsh(M.entries),
+        "detect_ms": lambda: spectra._twin_classes(M.entries),
+    }
+    if classes > spectra._QUOTIENT_MAX_SHARE * G.n:
+        # what the class-count gate saves
+        fns["forced_quotient_ms"] = lambda: forced_quotient(M.entries)
+    return {"case": name, "kind": kind, "n": G.n, "classes": int(classes), **median_ms(fns, repeat)}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=9)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--out", default="BENCH_eigensolve.json")
+    args = ap.parse_args()
+    rng = np.random.default_rng(args.seed)
+    np.linalg.eigvalsh(np.eye(256))  # the first solve of a process is slow
+    rows = [row(name, G, kind, args.repeat) for name, G, kind in composites(rng)]
+    rows += [row(f"random m=2n n={n}", gnm(rng, n, 2 * n), "laplacian", args.repeat)
+             for n in (256, 512, 1024, 2048)]
+    doc = {
+        "deflate_min_order": spectra._DEFLATE_MIN_ORDER,
+        "quotient_max_share": spectra._QUOTIENT_MAX_SHARE,
+        "repeat": args.repeat, "seed": args.seed,
+        "host": {"python": platform.python_version(), "numpy": np.__version__, "cpus": os.cpu_count()},
+        "rows": rows,
+    }
+    with open(args.out, "w", encoding="ascii") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    for r in rows:
+        extra = f"  forced quotient {r['forced_quotient_ms']:8.2f}" if "forced_quotient_ms" in r else ""
+        print(f"{r['case']:24s} n={r['n']:5d} c={r['classes']:5d}  eigenvalues {r['eigenvalues_ms']:8.2f}"
+              f"  dense {r['dense_ms']:8.2f}  detect {r['detect_ms']:6.2f} ms{extra}")
+
+
+if __name__ == "__main__":
+    main()
