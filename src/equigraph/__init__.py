@@ -2,13 +2,12 @@
 
 Core objects: an immutable `Graph`, spectra of its adjacency / Laplacian /
 signless Laplacian matrices, the three associated energies, spanning-tree
-counts by independent routes, closed-form spectrum predictors for covers,
-folds, joins and products, and TheoremReport-producing checkers that
+counts by independent routes, closed-form spectrum predictors for extended
+double covers and k-fold graphs, and TheoremReport-producing checkers that
 certify each claimed identity numerically.
 """
 
 from .errors import (
-    ContractViolationError,
     EquigraphError,
     ParameterError,
     ParseError,
@@ -17,13 +16,10 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    build_named,
     cartesian_product,
     complement,
     complete,
     complete_bipartite,
-    connected_components,
-    copies,
     cycle,
     disjoint_union,
     double_graph,
@@ -32,7 +28,6 @@ from .graphs import (
     hypercube,
     is_bipartite,
     is_connected,
-    is_regular,
     iterated_edc,
     join,
     k_fold,
@@ -43,16 +38,11 @@ from .graphs import (
 from .spectra import (
     EnergyValue,
     Spectrum,
-    SymMatrix,
     edc_spanning_trees_formula,
-    edc_spanning_trees_formula_bipartite,
-    eigenvalues,
     energy,
-    is_cospectral,
     is_laplacian_integral,
     laplacian_energy,
     matrix_of,
-    signless_laplacian_energy,
     spanning_trees_eigen,
     spanning_trees_exact,
     spectra_equal,
@@ -64,10 +54,8 @@ from .predict import (
     predict_edc_l_spectrum,
     predict_iterated_edc_l_spectrum,
     predict_iterated_edc_l_spectrum_bipartite,
-    predict_join_l_spectrum,
     predict_kfold_a_spectrum,
     predict_kfold_l_spectrum,
-    predict_product_spectrum,
 )
 from .theorems import (
     FamilySpec,

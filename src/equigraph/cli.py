@@ -13,7 +13,7 @@ import functools
 import sys
 
 from . import theorems
-from .errors import EquigraphError
+from .errors import EquigraphError, ParseError
 from .graphio import GraphDocument, detect_format, emit_graph, parse_graph
 from .graphs import (
     Graph,
@@ -124,6 +124,8 @@ def _load_graph(path: str) -> tuple[Graph, dict]:
             payload = fh.read()
     except OSError as exc:
         raise EquigraphError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     fmt = detect_format(payload)
     G = parse_graph(GraphDocument(fmt, payload))
     meta = {"path": path, "format": fmt, "sha256": payload_digest(payload), "n": G.n, "m": G.m}

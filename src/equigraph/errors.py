@@ -19,7 +19,3 @@ class ValidationError(EquigraphError, ValueError):
 
 class ResourceLimitError(EquigraphError, RuntimeError):
     """A requested computation exceeds the configured vertex cap or the float range."""
-
-
-class ContractViolationError(EquigraphError, ValueError):
-    """An input breaks a numerical contract (e.g. non-symmetric matrix)."""

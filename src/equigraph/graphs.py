@@ -5,12 +5,12 @@ construction is the matrix identity its docstring states.  Every named
 family and construction refuses a result above the vertex cap (see
 `limits`) before allocating it.
 
-A graph is checked where it enters the program: `Graph(n, edges)`,
-`Graph.from_edges` and the decoders in `graphio` refuse malformed input and
-a vertex count above the cap.  The families and constructions here are
-trusted: each identity is square, symmetric and loop-free by its form, so
-its array goes to `Graph._from_array` unchecked, and the tests assert that
-invariant on every result.
+A graph is checked where it enters the program: `Graph(n, edges)` and the
+decoders in `graphio` refuse malformed input and a vertex count above the
+cap.  The families and constructions here are trusted: each identity is
+square, symmetric and loop-free by its form, so its array goes to
+`Graph._from_array` unchecked, and the tests assert that invariant on
+every result.
 
 Vertices are always labelled 0..n-1, and each constructor fixes a vertex
 ordering explicitly so that the identities hold literally:
@@ -19,9 +19,7 @@ ordering explicitly so that the identities hold literally:
     class gets n..2n-1;
   * products on (u, v) pairs: (u, v) -> u * n2 + v;
   * k-fold graphs interleave copies: copy a of vertex u -> u * k + a,
-    which makes the adjacency matrix equal A(G) (x) J_k entrywise;
-  * disjoint copies stack them: copy c of vertex u -> c * n + u, which
-    makes it I_k (x) A(G).
+    which makes the adjacency matrix equal A(G) (x) J_k entrywise.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ class Graph:
     """Simple undirected labelled graph on vertices 0..n-1.
 
     `adjacency` is the canonical read-only n x n boolean array: symmetric,
-    zero diagonal.  `m`, `edges` (a frozenset of (u, v) pairs with u < v),
-    the degrees and the neighbour sets are views derived from it.
+    zero diagonal.  `m`, `edges` (a frozenset of (u, v) pairs with u < v)
+    and the degrees are views derived from it.
     Instances are immutable and hashable, equal when their arrays are;
     every operation in this module is a pure function.
     """
@@ -63,16 +61,6 @@ class Graph:
         A = np.zeros((n, n), dtype=bool)
         A[u, v] = A[v, u] = True
         self._init(A)
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        """Build a graph from any iterable of vertex pairs, normalising order."""
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValidationError(f"loop at vertex {u} not allowed")
-            norm.add((min(u, v), max(u, v)))
-        return cls(n, norm)
 
     @classmethod
     def _from_array(cls, A: np.ndarray) -> "Graph":
@@ -115,12 +103,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return self._degree_array().tolist()
-
-    def adjacency_sets(self) -> list[set[int]]:
-        return [set(np.flatnonzero(row).tolist()) for row in self.adjacency]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency[u, v])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -195,24 +177,6 @@ def hypercube(s: int) -> Graph:
     return Graph._from_array(A)
 
 
-def build_named(family: str, params: list[int]) -> Graph:
-    """Build a standard graph by family name and integer parameters."""
-    builders = {
-        "complete": (complete, 1),
-        "empty": (empty, 1),
-        "complete_bipartite": (complete_bipartite, 2),
-        "path": (path, 1),
-        "cycle": (cycle, 1),
-        "hypercube": (hypercube, 1),
-    }
-    if family not in builders:
-        raise ParameterError(f"unknown family {family!r}; choose from {sorted(builders)}")
-    fn, argc = builders[family]
-    if len(params) != argc:
-        raise ParameterError(f"family {family!r} takes {argc} parameter(s), got {len(params)}")
-    return fn(*params)
-
-
 def _positive(x: int, name: str) -> None:
     if not isinstance(x, int) or x <= 0:
         raise ParameterError(f"{name} size must be a positive integer, got {x!r}")
@@ -241,12 +205,6 @@ def _bfs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comp, depth
 
 
-def connected_components(G: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted ascending."""
-    comp, _ = _bfs(G.adjacency)
-    return [np.flatnonzero(comp == c).tolist() for c in range(comp.max(initial=-1) + 1)]
-
-
 def is_connected(G: Graph) -> bool:
     """At most one component: _bfs numbers components from 0."""
     return bool(_bfs(G.adjacency)[0].max(initial=-1) <= 0)
@@ -259,11 +217,6 @@ def is_bipartite(G: Graph) -> bool:
     A = G.adjacency
     odd = _bfs(A)[1] % 2 == 1
     return not (A[np.ix_(odd, odd)].any() or A[np.ix_(~odd, ~odd)].any())
-
-
-def is_regular(G: Graph) -> bool:
-    deg = G._degree_array()
-    return deg.size == 0 or deg.min() == deg.max()
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +238,6 @@ def disjoint_union(G1: Graph, G2: Graph) -> Graph:
     C[:n1, :n1] = G1.adjacency
     C[n1:, n1:] = G2.adjacency
     return Graph._from_array(C)
-
-
-def copies(G: Graph, k: int) -> Graph:
-    """I_k (x) A: k disjoint copies, copy c of vertex u labelled c*n + u."""
-    if k < 1:
-        raise ParameterError(f"number of copies must be positive, got {k}")
-    check_cap(G.n * k, "disjoint copies")
-    check_cap(k, "the copies of one vertex")  # a 0-vertex G passes the first check; I_k takes no huge k
-    return Graph._from_array(_kron(np.eye(k, dtype=bool), k, G.adjacency, 2 * G.m))
 
 
 def join(G1: Graph, G2: Graph) -> Graph:

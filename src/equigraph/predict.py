@@ -1,4 +1,4 @@
-"""Closed-form spectral predictors for covers, folds, joins, and products.
+"""Closed-form spectral predictors for extended double covers and k-fold graphs.
 
 Each function returns the spectrum a construction should have, computed
 from the spectra of the inputs alone.  The checkers in `theorems` compare
@@ -93,40 +93,4 @@ def predict_kfold_l_spectrum(G: Graph, k: int) -> Spectrum:
     out = [k * v for v in mu]
     for d in G.degrees():
         out.extend([float(k * d)] * (k - 1))
-    return Spectrum(tuple(sorted(out)))
-
-
-def predict_join_l_spectrum(G1: Graph, G2: Graph) -> Spectrum:
-    """Laplacian spectrum of the join from the parts' spectra.
-
-    {n1+n2} u {n1 + sigma_j : j < n2} u {n2 + mu_i : i < n1} u {0}, where
-    each part contributes all but one zero eigenvalue.
-    """
-    if G1.n == 0 or G2.n == 0:
-        raise ParameterError("join spectrum needs both parts nonempty")
-    mu = spectrum_of(G1, "laplacian").values
-    sigma = spectrum_of(G2, "laplacian").values
-    out = [0.0, float(G1.n + G2.n)]
-    out += [G1.n + v for v in sigma[1:]]
-    out += [G2.n + v for v in mu[1:]]
-    return Spectrum(tuple(sorted(out)))
-
-
-def predict_product_spectrum(G1: Graph, G2: Graph, product: str, kind: str) -> Spectrum:
-    """Pairwise sums (cartesian) or products (kronecker) of the parts' spectra.
-
-    The sum rule is exact for the adjacency and Laplacian spectra, the
-    product rule for the adjacency spectrum only.
-    """
-    kinds = {"cartesian": ("adjacency", "laplacian"), "kronecker": ("adjacency",)}
-    if product not in kinds:
-        raise ParameterError(f"unknown product {product!r}")
-    if kind not in kinds[product]:
-        raise ParameterError(f"unsupported matrix kind {kind!r} for {product} product spectra")
-    s1 = spectrum_of(G1, kind).values
-    s2 = spectrum_of(G2, kind).values
-    if product == "cartesian":
-        out = [a + b for a in s1 for b in s2]
-    else:
-        out = [a * b for a in s1 for b in s2]
     return Spectrum(tuple(sorted(out)))

@@ -43,46 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError, ResourceLimitError
-from .graphs import Graph, is_bipartite, is_connected
+from .errors import ParameterError, ResourceLimitError
+from .graphs import Graph, is_connected
 
 MATRIX_KINDS = ("adjacency", "laplacian", "signless_laplacian")
-
-SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense real symmetric matrix; entries are held read-only."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.entries, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ContractViolationError(f"expected a square matrix, got shape {M.shape}")
-        if M.size and np.abs(M - M.T).max() > SYMMETRY_TOL:
-            raise ContractViolationError("matrix is not symmetric within 1e-12")
-        M = M.copy()
-        M.flags.writeable = False
-        object.__setattr__(self, "entries", M)
-
-    @classmethod
-    def _of_symmetric(cls, M: np.ndarray) -> "SymMatrix":
-        """Adopt a float array that is symmetric by construction, with no
-        re-check and no copy; it becomes read-only."""
-        M.flags.writeable = False
-        out = object.__new__(cls)
-        object.__setattr__(out, "entries", M)
-        return out
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    def max_abs_entry(self) -> float:
-        M = self.entries  # max |M| without allocating |M|
-        return float(max(M.max(), -M.min())) if M.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -124,20 +88,14 @@ class EnergyValue:
     kind: str
     avg_degree: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in MATRIX_KINDS:
-            raise ParameterError(f"unknown energy kind {self.kind!r}")
-        if self.value < 0:
-            raise ParameterError("energy cannot be negative")
-
 
 # ---------------------------------------------------------------------------
 # matrices and eigenvalues
 # ---------------------------------------------------------------------------
 
-def matrix_of(G: Graph, kind: str) -> SymMatrix:
+def matrix_of(G: Graph, kind: str) -> np.ndarray:
     """Adjacency / Laplacian / signless Laplacian matrix of G, integer-valued:
-    A, D - A or D + A, built in one float64 array."""
+    A, D - A or D + A, built in one read-only float64 array."""
     if kind not in MATRIX_KINDS:
         raise ParameterError(f"unknown matrix kind {kind!r}; choose from {MATRIX_KINDS}")
     A = G.adjacency
@@ -145,11 +103,14 @@ def matrix_of(G: Graph, kind: str) -> SymMatrix:
     M = np.subtract(0.0, A, dtype=np.float64) if kind == "laplacian" else A.astype(np.float64)
     if kind != "adjacency":
         M.flat[::G.n + 1] = G._degree_array()
-    return SymMatrix._of_symmetric(M)
+    M.flags.writeable = False
+    return M
 
 
-def eigenvalues(M: SymMatrix) -> Spectrum:
-    """Full real spectrum of a symmetric matrix, ascending, all n values.
+def eigenvalues(M: np.ndarray) -> Spectrum:
+    """Full real spectrum of a symmetric float matrix, ascending, all n values.
+
+    M must be symmetric, as `matrix_of` builds it; this is not re-checked.
 
     Backed by LAPACK's symmetric solver; deterministic for identical input.
     From order 512 (`_DEFLATE_MIN_ORDER`) up, twin indices are deflated
@@ -159,17 +120,18 @@ def eigenvalues(M: SymMatrix) -> Spectrum:
     classes.  That happens when 4c <= 3n (`_QUOTIENT_MAX_SHARE`) and M's
     values, not only its pattern, pass the twin check; otherwise the full
     matrix is solved.  Below 512 the values are exactly those of
-    `np.linalg.eigvalsh(M.entries)`.  Either way all n values come back,
+    `np.linalg.eigvalsh(M)`.  Either way all n values come back,
     ascending, converted to Python floats in one `tolist` and not
     re-checked.  The attached tolerance scales with the largest entry so
     later multiset comparisons default to something sensible.
     """
-    if not isinstance(M, SymMatrix):
-        M = SymMatrix(np.asarray(M))
-    vals = _deflated_eigenvalues(M.entries) if M.order >= _DEFLATE_MIN_ORDER else None
+    n = M.shape[0]
+    vals = _deflated_eigenvalues(M) if n >= _DEFLATE_MIN_ORDER else None
     if vals is None:
-        vals = np.linalg.eigvalsh(M.entries).tolist() if M.order else []
-    return Spectrum._of_sorted(tuple(vals), tol=1e-8 * max(1.0, M.max_abs_entry()))
+        vals = np.linalg.eigvalsh(M).tolist() if n else []
+    # max |M| without allocating |M|
+    tol = 1e-8 * max(1.0, float(max(M.max(), -M.min()))) if n else 1e-8
+    return Spectrum._of_sorted(tuple(vals), tol)
 
 
 # Twin deflation runs from this order up.  Detection is a larger share of a
@@ -290,10 +252,6 @@ def spectral_distance(S1: Spectrum, S2: Spectrum) -> float:
     return max(abs(a - b) for a, b in zip(S1.values, S2.values))
 
 
-def is_cospectral(G1: Graph, G2: Graph, kind: str, eps: float) -> bool:
-    return spectra_equal(spectrum_of(G1, kind), spectrum_of(G2, kind), eps)
-
-
 def is_laplacian_integral(G: Graph, eps: float = 1e-8) -> bool:
     """True iff every Laplacian eigenvalue is within eps of an integer."""
     if eps < 0:
@@ -323,10 +281,6 @@ def energy(G: Graph) -> EnergyValue:
 
 def laplacian_energy(G: Graph) -> EnergyValue:
     return spectral_energy(G, "laplacian")[0]
-
-
-def signless_laplacian_energy(G: Graph) -> EnergyValue:
-    return spectral_energy(G, "signless_laplacian")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -565,18 +519,3 @@ def _finite_count(count: float, what: str) -> float:
     if not math.isfinite(count):
         raise ResourceLimitError(f"the spanning-tree count of {what} overflows a float")
     return count
-
-
-def edc_spanning_trees_formula_bipartite(G: Graph) -> float:
-    """Bipartite shortcut for the same count: tau(G) times the product of
-    (mu_i + 2) over the n-1 largest Laplacian eigenvalues.
-    """
-    if G.n < 1:
-        raise ParameterError("spanning trees undefined for the empty graph")
-    if not is_bipartite(G):
-        raise ParameterError("bipartite form requires a bipartite graph")
-    tau = _count_as_float(spanning_trees_exact(G), "the base graph")
-    mu = spectrum_of(G, "laplacian").values
-    with np.errstate(over="ignore"):
-        count = tau * float(np.prod([v + 2.0 for v in mu[1:]]))
-    return _finite_count(count, "the cover")

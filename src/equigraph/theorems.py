@@ -576,7 +576,7 @@ def family_cartesian(G1: Graph, G2: Graph, p: int, eps: float = EPS_FAMILY) -> T
     n, m = G1.n, G1.m
     q1 = spectrum_of(G1, "signless_laplacian").values
     q2 = spectrum_of(G2, "signless_laplacian").values
-    avg = 2.0 * m / n if n else 0.0
+    avg = 2.0 * m / n
     hyp = {
         "same_order": G1.n == G2.n,
         "same_size": G1.m == G2.m,
@@ -657,8 +657,10 @@ def run_claim(command: str, theorem_id: str, G: Graph, second: Graph | None = No
               eps: float | None = None, **options: int | None
               ) -> tuple[FamilySpec | None, TheoremReport]:
     """Run one claim of `command` by ID; options are the CLI's k, t and p,
-    None when not given.  Returns the join-family parameters (else None)
-    and the report."""
+    None when not given.  An eps, when given, must be finite and
+    nonnegative: inf would confirm anything, and nan or a negative eps
+    nothing.  Returns the join-family parameters (else None) and the
+    report."""
     claim = CLAIMS.get(theorem_id)
     if claim is None or claim.command != command:
         ids = " ".join(tid for tid, c in CLAIMS.items() if c.command == command)
@@ -667,8 +669,12 @@ def run_claim(command: str, theorem_id: str, G: Graph, second: Graph | None = No
         raise ParameterError(f"{command} {theorem_id} needs a second graph (--in2)")
     kwargs = {param: options[opt] for param, opt in claim.options.items()
               if options.get(opt) is not None}
+    if eps is None:
+        eps = claim.eps
+    elif not 0 <= eps < math.inf:  # also refuses nan
+        raise ParameterError(f"eps must be finite and nonnegative, got {eps!r}")
     graphs = (G, second) if claim.needs_second else (G,)
-    out = claim.check(*graphs, eps=claim.eps if eps is None else eps, **kwargs)
+    out = claim.check(*graphs, eps=eps, **kwargs)
     return out if isinstance(out, tuple) else (None, out)
 
 

@@ -53,13 +53,6 @@ def disjoint_union(G1, G2):
     return n1 + n2, e1 | frozenset((u + n1, v + n1) for u, v in e2)
 
 
-def copies(G, k):
-    out = G
-    for _ in range(k - 1):
-        out = disjoint_union(out, G)
-    return out
-
-
 def join(G1, G2):
     n, edges = disjoint_union(G1, G2)
     n1 = G1[0]

@@ -118,6 +118,37 @@ class TestExitCodes:
         assert main(["spectra", "--in", "bad.el", "--matrix", "a"]) == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_non_utf8_payload_is_1(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "bad.el").write_bytes(b"\xff2 1\n0 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectra", "--in", "bad.el", "--matrix", "a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "equigraph: error: bad.el: not UTF-8 text (byte 0)\n"
+
+    @pytest.mark.parametrize("command,argv", [
+        ("verify", ["--in", "p3.el", "--theorem", "3.2"]),
+        ("family", ["--theorem", "4.3", "--in", "k3.el", "--p", "9", "--k", "3"]),
+    ], ids=["verify", "family"])
+    @pytest.mark.parametrize("eps", ["inf", "nan", "-1"])
+    def test_eps_that_is_not_finite_and_nonnegative_is_1(self, command, argv, eps, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(DATA_DIR)
+        assert main([command, *argv, "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("equigraph: error: eps must be finite and nonnegative")
+
+    @pytest.mark.parametrize("theorem,code,verdict", [
+        ("3.5", 0, "confirmed"),  # an exact integer identity
+        ("3.2", 3, "deviation"),  # eigensolver noise exceeds 0
+    ])
+    def test_eps_zero_is_legal(self, theorem, code, verdict, monkeypatch, capsys):
+        monkeypatch.chdir(DATA_DIR)
+        assert main(["verify", "--in", "p3.el", "--theorem", theorem, "--eps", "0"]) == code
+        out = capsys.readouterr().out
+        assert '"eps": 0,' in out and f'"verdict": "{verdict}"' in out
+
     def test_unknown_verify_id_is_1(self, monkeypatch, capsys):
         monkeypatch.chdir(DATA_DIR)
         assert main(["verify", "--in", "k3.el", "--theorem", "9.9"]) == 1

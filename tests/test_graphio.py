@@ -30,7 +30,6 @@ from equigraph.graphs import (
     cartesian_product,
     complete,
     complete_bipartite,
-    copies,
     cycle,
     disjoint_union,
     empty,
@@ -224,10 +223,9 @@ class TestVertexCapAtParse:
         lambda: iterated_edc(complete(3), 2),
         lambda: k_fold(complete(3), 3),
         lambda: line_graph(complete(5)),
-        lambda: copies(complete(3), 3),
     ], ids=["graph", "complete", "empty", "complete_bipartite", "path", "cycle", "hypercube",
             "disjoint_union", "join", "kronecker_product", "cartesian_product",
-            "extended_double_cover", "iterated_edc", "k_fold", "line_graph", "copies"])
+            "extended_double_cover", "iterated_edc", "k_fold", "line_graph"])
     def test_library_graph_refused_above_the_cap(self, build, monkeypatch):
         """Every construction refuses a result above the cap, not only the CLI."""
         monkeypatch.setenv("EQUIGRAPH_MAX_VERTICES", "8")

@@ -181,6 +181,14 @@ class TestReportMechanics:
         with pytest.raises(ParameterError):
             run_check("9.99", complete(2))
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0])
+    def test_eps_that_is_not_finite_and_nonnegative_rejected(self, eps):
+        with pytest.raises(ParameterError, match="eps must be finite and nonnegative"):
+            run_check("3.2", path(3), eps=eps)
+
+    def test_eps_zero_accepted(self):
+        assert run_check("3.5", path(3), eps=0.0).verdict == VERDICT_CONFIRMED
+
     def test_all_registered_ids_run(self):
         G = path(3)
         for tid in (t for t, claim in CLAIMS.items() if claim.command == "verify"):
@@ -308,7 +316,7 @@ class TestTreesAndIntegrality:
     def test_integrality_iteration(self):
         r = run_check("3.7", complete(4), k=2)
         assert r.verdict == VERDICT_CONFIRMED
-        paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
         r = run_check("3.7", paw, k=1)
         assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
         assert r.predicted == (1.0,) and r.computed == (0.0,)
@@ -442,7 +450,7 @@ class TestJoinFamilies:
 
 class TestMixedFamilies:
     def test_thm48_witness(self):
-        G1 = Graph.from_edges(4, [(0, 1), (2, 3)])
+        G1 = Graph(4, [(0, 1), (2, 3)])
         G2 = path(4)
         r = family_mixed("thm48", G1, G2, p=20, k=4)
         assert r.verdict == VERDICT_CONFIRMED and r.hypotheses_met
@@ -452,13 +460,13 @@ class TestMixedFamilies:
         assert not r.hypotheses["order_divisible_by_4"]
 
     def test_thm49_witness(self):
-        G1 = Graph.from_edges(4, [(0, 1), (2, 3)])
+        G1 = Graph(4, [(0, 1), (2, 3)])
         r = family_mixed("thm49", G1, cycle(4), p=20, k=4)
         assert r.verdict == VERDICT_CONFIRMED and r.hypotheses_met
 
     def test_eq41_witness(self):
-        G1 = Graph.from_edges(4, [(0, 1), (2, 3)])
-        G2 = Graph.from_edges(4, [(0, 2), (1, 3)])
+        G1 = Graph(4, [(0, 1), (2, 3)])
+        G2 = Graph(4, [(0, 2), (1, 3)])
         r = family_mixed("eq41_42", G1, G2, p=12, k=4)
         assert r.verdict == VERDICT_CONFIRMED and r.hypotheses_met
 

@@ -27,7 +27,7 @@ from equigraph.graphs import (
     join,
     k_fold,
 )
-from equigraph.spectra import MATRIX_KINDS, SymMatrix, eigenvalues, matrix_of
+from equigraph.spectra import MATRIX_KINDS, eigenvalues, matrix_of
 
 CROSSOVER = spectra._DEFLATE_MIN_ORDER
 
@@ -79,8 +79,8 @@ def twin_rich_graphs(draw):
     return join(complete(a), Graph._from_array(random_base(rng, order - a, p)))
 
 
-def dense(M: SymMatrix) -> np.ndarray:
-    return np.linalg.eigvalsh(M.entries)
+def dense(M: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(M)
 
 
 class TestAgainstTheDenseSolve:
@@ -92,7 +92,7 @@ class TestAgainstTheDenseSolve:
         assert type(vals) is tuple and len(vals) == G.n
         assert all(type(v) is float for v in vals)
         assert all(x <= y for x, y in zip(vals, vals[1:]))
-        scale = max(1.0, M.max_abs_entry())
+        scale = max(1.0, np.abs(M).max())
         assert np.abs(np.array(vals) - dense(M)).max() <= 1e-12 * G.n * scale
         if G.n < CROSSOVER:
             assert vals == tuple(dense(M).tolist())
@@ -106,7 +106,7 @@ class TestAgainstTheDenseSolve:
                   k_fold(Graph._from_array(random_base(rng, 256, 0.02)), 3)):
             M = matrix_of(G, kind)
             err = np.abs(np.array(eigenvalues(M).values) - dense(M)).max()
-            assert err <= 1e-12 * G.n * max(1.0, M.max_abs_entry())
+            assert err <= 1e-12 * G.n * max(1.0, np.abs(M).max())
 
 
 def twin_matrix(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,7 +152,7 @@ class TestValueCheckFallsBack:
     def test_unperturbed_pattern_deflates(self, monkeypatch):
         M, _, _ = twin_matrix(np.random.default_rng(5))
         shapes = eigvalsh_shapes(monkeypatch)
-        vals = eigenvalues(SymMatrix(M)).values
+        vals = eigenvalues(M).values
         assert shapes == [(200, 200)]
         assert np.abs(np.array(vals) - np.linalg.eigvalsh(M)).max() <= 1e-12 * M.shape[0]
 
@@ -161,7 +161,7 @@ class TestValueCheckFallsBack:
         M = self.perturbed(how)
         _, reps, _ = spectra._twin_classes(M)
         assert reps.size <= spectra._QUOTIENT_MAX_SHARE * M.shape[0]  # the pattern alone would deflate
-        assert eigenvalues(SymMatrix(M)).values == tuple(np.linalg.eigvalsh(M).tolist())
+        assert eigenvalues(M).values == tuple(np.linalg.eigvalsh(M).tolist())
 
 
 def connected_base(seed: int, n: int, m: int) -> Graph:
@@ -202,7 +202,7 @@ class TestMemoryAndSolveShapes:
     def test_verify_32_on_a_graph_with_few_twins_solves_the_full_cover(self, tmp_path, monkeypatch,
                                                                       capsys):
         G = connected_base(4302, 512, 1024)
-        _, reps, _ = spectra._twin_classes(matrix_of(G, "laplacian").entries)
+        _, reps, _ = spectra._twin_classes(matrix_of(G, "laplacian"))
         assert G.n - 16 < reps.size < G.n  # a few leaf twins, far from the gate
         (tmp_path / "g.el").write_text(emit_graph(G, "edgelist").payload)
         shapes = eigvalsh_shapes(monkeypatch)

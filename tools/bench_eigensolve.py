@@ -89,15 +89,15 @@ def composites(rng: np.random.Generator) -> list[tuple[str, Graph, str]]:
 
 def row(name: str, G: Graph, kind: str, repeat: int) -> dict:
     M = matrix_of(G, kind)
-    classes = spectra._twin_classes(M.entries)[1].size
+    classes = spectra._twin_classes(M)[1].size
     fns = {
         "eigenvalues_ms": lambda: eigenvalues(M),
-        "dense_ms": lambda: np.linalg.eigvalsh(M.entries),
-        "detect_ms": lambda: spectra._twin_classes(M.entries),
+        "dense_ms": lambda: np.linalg.eigvalsh(M),
+        "detect_ms": lambda: spectra._twin_classes(M),
     }
     if classes > spectra._QUOTIENT_MAX_SHARE * G.n:
         # what the class-count gate saves
-        fns["forced_quotient_ms"] = lambda: forced_quotient(M.entries)
+        fns["forced_quotient_ms"] = lambda: forced_quotient(M)
     return {"case": name, "kind": kind, "n": G.n, "classes": int(classes), **median_ms(fns, repeat)}
 
 
