@@ -22,12 +22,6 @@ _G6_MIN, _G6_MAX = 63, 126
 # The edge-list array pass costs about 35 us whatever the length (2-vCPU x86-64
 # host); below this many characters, some 25 edge lines, the line loop is faster.
 _ARRAY_PARSE_MIN_CHARS = 128
-# The label-table emit costs some 25 us more than "%" formatting up front and a
-# third as much per edge (same host); from about this many edges on it is faster.
-_ARRAY_EMIT_MIN_EDGES = 160
-# Splitting 3-byte words costs some 20 us of fixed numpy calls; below this many
-# triangle bits (n of about 200) one packbits over 8-bit rows is faster.
-_G6_WORD_MIN_BITS = 20000
 _PAD = 0  # the left padding of `_label_table`, which no emitted byte equals
 
 
@@ -184,19 +178,15 @@ def _ascii_int(token: str) -> int:
 def encode_edgelist(G: Graph) -> str:
     """Header, then one "u v" line per edge in sorted order.
 
-    From `_ARRAY_EMIT_MIN_EDGES` edges on, the lines are gathered from a
-    label table rather than formatted one by one (see `_label_table`): each
-    endpoint becomes one fixed-width D + 1 byte record, "u " or "v\n", and
-    one mask then drops every padding byte."""
+    The lines are gathered from a label table rather than formatted one by
+    one (see `_label_table`): each endpoint becomes one fixed-width D + 1
+    byte record, "u " or "v\n", and one mask then drops every padding byte."""
     u, v = G.edge_arrays()
-    header = f"{G.n} {u.size}\n"
-    if u.size < _ARRAY_EMIT_MIN_EDGES:
-        return header + "%d %d\n" * u.size % tuple(np.column_stack((u, v)).ravel().tolist())
     rows = np.empty(2 * u.size, dtype=np.intp)
     rows[0::2] = u
     rows[1::2] = v + G.n
     records = np.take(_label_table(G.n), rows, axis=0)
-    return header + records[records != _PAD].tobytes().decode("ascii")
+    return f"{G.n} {u.size}\n" + records[records != _PAD].tobytes().decode("ascii")
 
 
 def _label_table(n: int) -> np.ndarray:
@@ -228,30 +218,20 @@ def encode_graph6(G: Graph) -> str:
     six bits per byte, offset by 63.  Column order of the upper triangle is
     row order of the lower one, and the array is symmetric.
 
-    From `_G6_WORD_MIN_BITS` bits on, the bits, zero-padded to a multiple
-    of 24, pack into 3-byte words, and integer shifts split each word into
-    its four 6-bit codes.  Below it, each 6-bit group is written into the
-    low end of its own 8-bit row and one flat packbits makes the codes.
-    Codes of the padding past the last partial group are dropped."""
+    The bits, zero-padded to a multiple of 24, pack into 3-byte words, and
+    integer shifts split each word into its four 6-bit codes.  Codes of the
+    padding past the last partial group are dropped."""
     n = G.n
     bits = G.adjacency[np.tri(n, k=-1, dtype=bool)]
-    ncodes = -(-bits.size // 6)
-    if bits.size < _G6_WORD_MIN_BITS:
-        padded = np.zeros(ncodes * 6, dtype=bool)
-        padded[:bits.size] = bits
-        rows = np.zeros((ncodes, 8), dtype=bool)
-        rows[:, 2:] = padded.reshape(-1, 6)
-        codes = np.packbits(rows)
-    else:
-        padded = np.zeros(-(-bits.size // 24) * 24, dtype=bool)
-        padded[:bits.size] = bits
-        b0, b1, b2 = np.packbits(padded).reshape(-1, 3).T
-        words = np.empty((b0.size, 4), dtype=np.uint8)
-        words[:, 0] = b0 >> 2
-        words[:, 1] = (b0 & 3) << 4 | b1 >> 4
-        words[:, 2] = (b1 & 15) << 2 | b2 >> 6
-        words[:, 3] = b2 & 63
-        codes = words.ravel()[:ncodes]
+    padded = np.zeros(-(-bits.size // 24) * 24, dtype=bool)
+    padded[:bits.size] = bits
+    b0, b1, b2 = np.packbits(padded).reshape(-1, 3).T
+    words = np.empty((b0.size, 4), dtype=np.uint8)
+    words[:, 0] = b0 >> 2
+    words[:, 1] = (b0 & 3) << 4 | b1 >> 4
+    words[:, 2] = (b1 & 15) << 2 | b2 >> 6
+    words[:, 3] = b2 & 63
+    codes = words.ravel()[:-(-bits.size // 6)]
     return _encode_g6_order(n) + (codes + 63).tobytes().decode("ascii")
 
 

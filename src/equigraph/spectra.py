@@ -7,23 +7,28 @@ the spectral route (product of the n-1 largest Laplacian eigenvalues over
 n) and by an exact integer cofactor determinant, so the two routes can
 certify each other.
 
-Large eigensolves deflate twins first.  From order 512 up, indices with
-identical rows (false twins) or identical rows once the diagonal is set
-(true twins) are grouped from the nonzero pattern, and the grouping is
-then checked against the matrix's values: each member must have its
-representative's diagonal entry and its representative's row outside the
-pair.  A class of s twins adds one known eigenvalue s - 1 times, and LAPACK
-solves only the quotient over the classes, when it keeps at most 3/4 of
-the order.  The paper's joins with an empty graph and its k-fold graphs are
-made of such classes: the order-2048 join of family 4.3 has 129, and its
-Laplacian solves in about 23 ms against 520-620 ms for the full matrix.
-Both gates were measured with `tools/bench_eigensolve.py`.  Detection is
-a larger share of a small solve (about 0.5 ms next to 4 ms at order 256,
-1 ms next to 16 ms at 512, 8 ms next to 640 ms at 2048), and below 512 the
-values stay exactly LAPACK's.  A quotient that keeps nearly every index, as
-on random graphs with a few leaf twins, took as long as the dense solve to
-within the run-to-run spread and needs a second matrix of about the same
-size, so it is not built.  Every spectrum still holds all n values.
+Every matrix handed to `eigenvalues` is one that `matrix_of` built for a
+simple graph, and the eigensolve relies on that form without re-checking
+it: the off-diagonal entries are 0 or +-1, so the largest |entry| is
+max(1, largest diagonal entry), and an index's row depends only on its
+vertex's neighbour set and degree.  Large eigensolves deflate twins first.
+From order 512 up, indices with identical rows of the nonzero pattern
+(false twins) or identical rows once the diagonal is set (true twins) are
+grouped.  Swapping two such indices is a graph automorphism, and equal
+neighbourhoods give equal degrees, so the pattern's twins are the
+matrix's twins.  A class of s twins adds one known eigenvalue s - 1 times,
+and LAPACK solves only the quotient over the classes, when it keeps at
+most 3/4 of the order.  The paper's joins with an empty graph and its
+k-fold graphs are made of such classes: the order-2048 join of family 4.3
+has 129, and its Laplacian solves in about 8 ms against 565 ms for the
+full matrix.  Both gates were measured with `tools/bench_eigensolve.py`.
+Detection is a larger share of a small solve (about 0.5 ms next to 4 ms at
+order 256, 0.8 ms next to 14 ms at 512, 7 ms next to 580 ms at 2048), and
+below 512 the values stay exactly LAPACK's.  A quotient that keeps nearly
+every index, as on random graphs with a few leaf twins, took as long as
+the dense solve to within the run-to-run spread and needs a second matrix
+of about the same size, so it is not built.  Every spectrum still holds
+all n values.
 
 The exact determinant of a connected graph's Laplacian minor comes from
 Bareiss elimination over Python integers for minors of order up to 26, the
@@ -57,7 +62,7 @@ class Spectrum:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not self.tol >= 0:  # refuses nan too
             raise ParameterError("tolerance must be nonnegative")
         vals = tuple(float(v) for v in self.values)
         if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
@@ -108,29 +113,32 @@ def matrix_of(G: Graph, kind: str) -> np.ndarray:
 
 
 def eigenvalues(M: np.ndarray) -> Spectrum:
-    """Full real spectrum of a symmetric float matrix, ascending, all n values.
+    """Full spectrum of a `matrix_of` matrix, ascending, all n values.
 
-    M must be symmetric, as `matrix_of` builds it; this is not re-checked.
+    M must be the adjacency, Laplacian or signless Laplacian matrix of a
+    simple graph, as `matrix_of` builds it; its form is relied on, not
+    re-checked.  M is symmetric, its off-diagonal entries are 0 or +-1, and
+    an index's row depends only on its vertex's neighbours and degree.
 
     Backed by LAPACK's symmetric solver; deterministic for identical input.
     From order 512 (`_DEFLATE_MIN_ORDER`) up, twin indices are deflated
     first (`_deflated_eigenvalues`).  A class of s indices that can be
     swapped without changing M contributes its one known eigenvalue, a - b,
     s - 1 times, and LAPACK solves only the c x c quotient over the c
-    classes.  That happens when 4c <= 3n (`_QUOTIENT_MAX_SHARE`) and M's
-    values, not only its pattern, pass the twin check; otherwise the full
+    classes when 4c <= 3n (`_QUOTIENT_MAX_SHARE`); otherwise the full
     matrix is solved.  Below 512 the values are exactly those of
     `np.linalg.eigvalsh(M)`.  Either way all n values come back,
     ascending, converted to Python floats in one `tolist` and not
-    re-checked.  The attached tolerance scales with the largest entry so
-    later multiset comparisons default to something sensible.
+    re-checked.  The attached tolerance is 1e-8 * max |M|, so later
+    multiset comparisons default to something sensible; by the form of M
+    that is 1e-8 * max(1, largest diagonal entry), read from the diagonal
+    alone.
     """
     n = M.shape[0]
     vals = _deflated_eigenvalues(M) if n >= _DEFLATE_MIN_ORDER else None
     if vals is None:
         vals = np.linalg.eigvalsh(M).tolist() if n else []
-    # max |M| without allocating |M|
-    tol = 1e-8 * max(1.0, float(max(M.max(), -M.min()))) if n else 1e-8
+    tol = 1e-8 * max(1.0, float(np.diagonal(M).max())) if n else 1e-8
     return Spectrum._of_sorted(tuple(vals), tol)
 
 
@@ -142,8 +150,6 @@ _DEFLATE_MIN_ORDER = 512
 # (4c <= 3n).  On random graphs with a few leaf twins (c near n) it took as
 # long as the dense solve and allocated a second matrix of the same size.
 _QUOTIENT_MAX_SHARE = 0.75
-# rows the value check compares with their representatives at once
-_CHECK_ROWS = 64
 
 
 def _deflated_eigenvalues(M: np.ndarray) -> list[float] | None:
@@ -159,11 +165,11 @@ def _deflated_eigenvalues(M: np.ndarray) -> list[float] | None:
     R[c, c'] = M[r_c, r_c'] * sqrt(s_c * s_c') off the diagonal and
     R[c, c] = a_c + (s_c - 1) * b_c on it, for representatives r_c.
 
-    Candidates come from the pattern P = (M != 0) with a zero diagonal:
-    false twins share a row of P, true twins a row of P + I.  The classes
-    are used only if M's values pass `_twins_hold`.  Returns None when the
-    quotient would keep more than `_QUOTIENT_MAX_SHARE` of the order, or
-    when the values fail the check.
+    The classes come from the pattern P = (M != 0) with a zero diagonal:
+    false twins share a row of P, true twins a row of P + I.  In a
+    `matrix_of` matrix such pattern twins are twins of M, as `eigenvalues`
+    sets out.  Returns None when the quotient would keep more than
+    `_QUOTIENT_MAX_SHARE` of the order.
     """
     n = M.shape[0]
     label, reps, sizes = _twin_classes(M)
@@ -171,11 +177,9 @@ def _deflated_eigenvalues(M: np.ndarray) -> list[float] | None:
     if c > _QUOTIENT_MAX_SHARE * n:
         return None
     members = np.flatnonzero(reps[label] != np.arange(n))
-    member_reps = reps[label[members]]
-    if not _twins_hold(M, members, member_reps):
-        return None
+    cls = label[members]
     b = np.zeros(c)
-    b[label[members]] = M[member_reps, members]
+    b[cls] = M[reps[cls], members]
     a = np.diagonal(M)[reps]
     root = np.sqrt(sizes)
     R = M[np.ix_(reps, reps)]
@@ -193,8 +197,9 @@ def _twin_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Rows are grouped by one `np.unique` over their packed bits viewed as
     single void items, which is far faster than `np.unique(..., axis=0)`.
-    An index never has both a false and a true twin in a symmetric
-    pattern; should it, the false class wins and the value check decides.
+    An index v of a graph never has both a false twin u and a true twin
+    w: w neighbours v, hence u, which would put u among v's neighbours.
+    The false grouping runs last, so its classes would win.
     """
     n = M.shape[0]
     P = M != 0
@@ -210,33 +215,13 @@ def _twin_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return label, reps, sizes
 
 
-def _twins_hold(M: np.ndarray, members: np.ndarray, reps: np.ndarray) -> bool:
-    """True iff swapping each member u of a class with its representative r
-    leaves M unchanged: M[u, u] = M[r, r], and row u equals row r outside
-    {u, r}.  These transpositions generate every permutation of the class,
-    so the class's off-diagonal entries are all one value b; for members u
-    and v, M[r, v] = M[u, v] = M[v, u] = M[r, u].  The rows are compared
-    `_CHECK_ROWS` at a time, so the scratch stays near 2 * 64 * n floats."""
-    if not np.array_equal(M[members, members], M[reps, reps]):
-        return False
-    for i in range(0, members.size, _CHECK_ROWS):
-        u, r = members[i:i + _CHECK_ROWS], reps[i:i + _CHECK_ROWS]
-        same = M[u] == M[r]
-        k = np.arange(u.size)
-        same[k, u] = True
-        same[k, r] = True
-        if not same.all():
-            return False
-    return True
-
-
 def spectrum_of(G: Graph, kind: str) -> Spectrum:
     return eigenvalues(matrix_of(G, kind))
 
 
 def spectra_equal(S1: Spectrum, S2: Spectrum, eps: float) -> bool:
     """Multiset equality: same length, elementwise within eps after sorting."""
-    if eps < 0:
+    if not eps >= 0:  # refuses nan too
         raise ParameterError("eps must be nonnegative")
     if len(S1) != len(S2):
         return False
@@ -254,7 +239,7 @@ def spectral_distance(S1: Spectrum, S2: Spectrum) -> float:
 
 def is_laplacian_integral(G: Graph, eps: float = 1e-8) -> bool:
     """True iff every Laplacian eigenvalue is within eps of an integer."""
-    if eps < 0:
+    if not eps >= 0:  # refuses nan too
         raise ParameterError("eps must be nonnegative")
     return all(abs(v - round(v)) <= eps for v in spectrum_of(G, "laplacian").values)
 

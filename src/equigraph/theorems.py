@@ -430,7 +430,7 @@ def family_join_edc(G: Graph, p: int, t: int = 1, k: int | None = None,
         "iterations_at_least_1": t >= 1,
         "slack_at_least_t_plus_2": k >= t + 2,
         "p_large_enough": p >= scale * n + k,
-        "edges_small_enough": m <= (k - t) * n / 2.0 + k * k / (2.0 * scale),
+        "edges_small_enough": _edc_join_edges_fit(n, m, k, t),
     }
     tid = theorem_id or ("4.3" if t == 1 else "4.4")
     avg = (2.0 * scale * m + scale * t * n + 2.0 * scale * p * n) / (p + scale * n)
@@ -462,7 +462,7 @@ def family_join_kfold(G: Graph, p: int, k: int = 2, t: int | None = None,
         "fold_at_least_2": k >= 2,
         "slack_at_least_2k": t >= 2 * k,
         "p_large_enough": p >= k * n + t,
-        "edges_small_enough": m <= t * (k * n + t) / (2.0 * k * k),
+        "edges_small_enough": _kfold_join_edges_fit(n, m, k, t),
     }
     tid = theorem_id or ("4.6" if k == 2 else "4.7")
     avg = (2.0 * k * k * m + 2.0 * p * k * n) / (p + k * n)
@@ -476,9 +476,8 @@ def family_join_kfold(G: Graph, p: int, k: int = 2, t: int | None = None,
 
 def smallest_feasible_edc_join_slack(G: Graph, t: int = 1, limit: int = 512) -> int:
     """Smallest slack satisfying the edge bound for the cover join family."""
-    scale = 1 << max(t, 0)
     for k in range(t + 2, limit):
-        if G.m <= (k - t) * G.n / 2.0 + k * k / (2.0 * scale):
+        if _edc_join_edges_fit(G.n, G.m, k, t):
             return k
     raise ParameterError(f"no feasible slack below {limit} for n={G.n}, m={G.m}, t={t}")
 
@@ -486,9 +485,19 @@ def smallest_feasible_edc_join_slack(G: Graph, t: int = 1, limit: int = 512) -> 
 def smallest_feasible_kfold_join_slack(G: Graph, k: int = 2, limit: int = 512) -> int:
     """Smallest slack satisfying the edge bound for the k-fold join family."""
     for t in range(2 * k, limit):
-        if G.m <= t * (k * G.n + t) / (2.0 * k * k):
+        if _kfold_join_edges_fit(G.n, G.m, k, t):
             return t
     raise ParameterError(f"no feasible slack below {limit} for n={G.n}, m={G.m}, k={k}")
+
+
+def _edc_join_edges_fit(n: int, m: int, k: int, t: int) -> bool:
+    """The edge bound of 4.3/4.4: m <= (k - t) n / 2 + k^2 / 2^(t+1)."""
+    return m <= (k - t) * n / 2.0 + k * k / (2.0 * (1 << max(t, 0)))
+
+
+def _kfold_join_edges_fit(n: int, m: int, k: int, t: int) -> bool:
+    """The edge bound of 4.6/4.7: m <= t (k n + t) / (2 k^2)."""
+    return m <= t * (k * n + t) / (2.0 * k * k)
 
 
 MIXED_FAMILY_IDS = ("thm48", "thm49", "eq41_42")

@@ -5,11 +5,12 @@ with `edgeset_reference`: on hypothesis graphs with n <= 12, and on seeded
 graphs of 63, 64, 100 and 257 vertices, whose graph6 strings carry the
 four-byte order field (n >= 63); the upper triangles of 63 and 257 vertices
 end in a partial 6-bit group, those of 64 and 100 in a full one.  Larger
-seeded cases reach the paths those sizes miss: the 24-bit-word graph6 encoder
-at triangles of 0, 6, 12 and 18 bits mod 24, the label-table edge-list encoder
-at 4-digit labels, a sparse and a dense Kronecker factor in both orders, and
-k-fold graphs up to the cap.  They compare codecs and products only, because
-the reference line graph is quadratic in m.
+seeded cases reach what those sizes miss: graph6 triangles of 0, 6, 12 and 18
+bits mod 24, the edge list's 4-digit labels, a sparse and a dense Kronecker
+factor in both orders, and k-fold graphs up to the cap; seeded codec cases of
+0, 1, 2, 6 and 48 vertices hold each format's one kernel to the reference
+where a document is a few bytes long.  They compare codecs and products only,
+because the reference line graph is quadratic in m.
 """
 
 import copy
@@ -28,14 +29,7 @@ import edgeset_reference as ref
 import equigraph
 from equigraph import graphs as g
 from equigraph.errors import ValidationError
-from equigraph.graphio import (
-    _ARRAY_EMIT_MIN_EDGES,
-    _G6_WORD_MIN_BITS,
-    decode_edgelist,
-    decode_graph6,
-    encode_edgelist,
-    encode_graph6,
-)
+from equigraph.graphio import decode_edgelist, decode_graph6, encode_edgelist, encode_graph6
 from equigraph.limits import vertex_cap
 from equigraph.search import triangle_count
 from equigraph.spectra import _bareiss_determinant, matrix_of, spanning_trees_exact
@@ -164,14 +158,15 @@ def array_random_graph(rng, n, p):
 
 
 class TestAgainstReferenceAtScale:
-    @pytest.mark.parametrize("n,rem24", [(208, 0), (205, 6), (201, 12), (204, 18), (1000, 12), (1001, 4)])
+    @pytest.mark.parametrize("n,rem24", [(208, 0), (205, 6), (201, 12), (204, 18), (1000, 12), (1001, 4),
+                                         (0, 0), (1, 0), (2, 1), (6, 15), (48, 0)])
     def test_seeded_codecs(self, n, rem24):
-        """Word-path triangles of every multiple of 6 mod 24, and 4-digit
-        labels with a full (1000) and a partial (1001) last 6-bit group."""
+        """Triangles of every multiple of 6 bits mod 24, 4-digit labels with
+        a full (1000) and a partial (1001) last 6-bit group, and documents
+        of a few bytes: no triangle, one bit, a partial 3-byte word."""
         nbits = n * (n - 1) // 2
-        assert nbits % 24 == rem24 and nbits >= _G6_WORD_MIN_BITS
-        G = array_random_graph(np.random.default_rng(n), n, 8.0 / n)
-        assert G.m >= _ARRAY_EMIT_MIN_EDGES
+        assert nbits % 24 == rem24
+        G = array_random_graph(np.random.default_rng(n), n, 8.0 / max(n, 16))
         assert_codecs_match(G)
 
     @pytest.mark.parametrize("n1,p1,n2,p2", [

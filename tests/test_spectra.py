@@ -30,6 +30,7 @@ from equigraph.graphs import (
     path,
 )
 from equigraph.spectra import (
+    MATRIX_KINDS,
     Spectrum,
     edc_spanning_trees_formula,
     eigenvalues,
@@ -117,28 +118,33 @@ class TestEigenvalues:
     def test_trusted_spectrum_matches_the_validating_constructor(self, n):
         rng = np.random.default_rng(900 + n)
         for _ in range(5):
-            B = rng.integers(-6, 7, size=(n, n))
-            M = (B + B.T).astype(float)
-            vals = np.linalg.eigvalsh(M) if n else np.zeros(0)
-            largest = float(np.abs(M).max()) if n else 0.0
-            expected = Spectrum(tuple(float(v) for v in vals), tol=1e-8 * max(1.0, largest))
-            S = eigenvalues(M)
-            assert S.values == expected.values and S.tol == expected.tol
-            assert type(S.values) is tuple and all(type(v) is float for v in S.values)
+            G = random_graph(rng, n, rng.random())
+            for kind in MATRIX_KINDS:
+                M = matrix_of(G, kind)
+                vals = np.linalg.eigvalsh(M) if n else np.zeros(0)
+                largest = float(np.abs(M).max()) if n else 0.0
+                expected = Spectrum(tuple(float(v) for v in vals), tol=1e-8 * max(1.0, largest))
+                S = eigenvalues(M)
+                assert S.values == expected.values and S.tol == expected.tol
+                assert type(S.values) is tuple and all(type(v) is float for v in S.values)
 
     @pytest.mark.parametrize("entries", [
-        [[0, -7], [-7, 3]],
-        [[0, 5], [5, -2]],
-        [[-1, 4, -4], [4, 0, 2], [-4, 2, -3]],
+        [[0, 1], [1, 0]],
+        [[0, 1, 1], [1, 0, 0], [1, 0, 0]],
+        [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
         [[0, 0], [0, 0]],
-        [[-0.0]],
+        [[0]],
     ])
     def test_max_abs_entry(self, entries):
-        """The tolerance scales with max |M|, taken without allocating |M|."""
-        M = np.array(entries, dtype=float)
-        tol = eigenvalues(M).tol
-        assert tol == 1e-8 * max(1.0, float(np.abs(M).max()))
-        assert type(tol) is float
+        """The tolerance scales with max |M|, which the diagonal of a
+        `matrix_of` matrix gives alone: its off-diagonal entries are 0 or
+        +-1.  `entries` is the graph's adjacency matrix."""
+        G = Graph._from_array(np.array(entries, dtype=bool))
+        for kind in MATRIX_KINDS:
+            M = matrix_of(G, kind)
+            tol = eigenvalues(M).tol
+            assert tol == 1e-8 * max(1.0, float(np.abs(M).max()))
+            assert type(tol) is float
 
     def test_max_abs_entry_of_the_empty_matrix(self):
         assert eigenvalues(np.zeros((0, 0))).tol == 1e-8
@@ -162,6 +168,15 @@ class TestSpectrumOps:
         assert spectra_equal(s, s, 0.0)
         assert not spectra_equal(s, spectrum_of(complete(4), "laplacian"), 1e-6)
         assert not spectra_equal(s, spectrum_of(complete(3), "laplacian"), 1e-6)
+
+    def test_spectra_equal_refuses_a_nan_eps(self):
+        s = spectrum_of(cycle(4), "laplacian")
+        with pytest.raises(ParameterError):
+            spectra_equal(s, s, math.nan)
+
+    def test_spectrum_refuses_a_nan_tolerance(self):
+        with pytest.raises(ParameterError):
+            Spectrum((0.0, 1.0), tol=math.nan)
 
     def test_spectral_distance_length_mismatch(self):
         assert spectral_distance(Spectrum((0.0,)), Spectrum((0.0, 1.0))) == math.inf
@@ -387,6 +402,10 @@ class TestLaplacianIntegrality:
     def test_examples(self):
         assert is_laplacian_integral(complete(4))
         assert not is_laplacian_integral(path(4))  # contains 2 +- sqrt(2)
+
+    def test_refuses_a_nan_eps(self):
+        with pytest.raises(ParameterError):
+            is_laplacian_integral(complete(3), math.nan)
 
     def test_iteration_preserves_for_bipartite(self):
         for G in (complete(2), path(3), complete_bipartite(2, 3), cycle(4)):

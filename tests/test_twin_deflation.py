@@ -1,12 +1,13 @@
 """Twin deflation inside `spectra.eigenvalues`.
 
-From order 512 up, `eigenvalues` groups interchangeable indices (twins),
-checks the grouping against the matrix's values and solves the quotient
-over the classes in place of the full matrix.  These tests hold it to the
-dense solve: on graphs with planted twins and on the paper's composites
-(joins with an empty graph, k-folds, K_a joined with a graph), on matrices
-whose twin pattern carries values that break the symmetry, and on the
-memory and the shapes of the solves it makes.
+From order 512 up, `eigenvalues` groups interchangeable indices (twins)
+by the nonzero pattern of a `matrix_of` matrix and solves the quotient over
+the classes in place of the full matrix.  These tests hold it to the dense
+solve on graphs with planted twins and on the paper's composites (joins
+with an empty graph, k-folds, K_a joined with a graph); hold the form it
+relies on (a pattern twin swaps with its representative without changing
+the matrix, and max |M| is on the diagonal or 1); and bound the memory and
+the shapes of the solves it makes.
 """
 
 import tracemalloc
@@ -109,15 +110,14 @@ class TestAgainstTheDenseSolve:
             assert err <= 1e-12 * G.n * max(1.0, np.abs(M).max())
 
 
-def twin_matrix(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The adjacency matrix of a 600-vertex blow-up with classes of 3 true
-    twins, its class labels and the class representatives."""
+def true_twin_blow_up(rng: np.random.Generator) -> Graph:
+    """A 600-vertex blow-up of a random graph with classes of 3 true twins."""
     n, s = 600, 3
     label = np.repeat(np.arange(n // s), s)
     A = random_base(rng, n // s, 0.1)[np.ix_(label, label)]
     A |= label[:, None] == label[None, :]
     np.fill_diagonal(A, False)
-    return A.astype(float), label, np.arange(0, n, s)
+    return Graph._from_array(A)
 
 
 def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
@@ -132,36 +132,24 @@ def eigvalsh_shapes(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
-class TestValueCheckFallsBack:
-    """A twin pattern with values that break the symmetry must be solved
-    densely, bit for bit."""
-
-    def perturbed(self, how: str) -> np.ndarray:
-        M, label, reps = twin_matrix(np.random.default_rng(5))
-        r, u, v = 30, 31, 32  # one class: the representative and two members
-        assert label[r] == label[u] == label[v] and r in reps
-        if how == "diagonal":
-            M[u, u] = 0.5
-        elif how == "weight_2":
-            w = int(np.flatnonzero(M[u] * (label != label[u]))[0])
-            M[u, w] = M[w, u] = 2.0
-        else:  # unequal_b: b is 2 between r and u, 1 between r and v
-            M[r, u] = M[u, r] = 2.0
-        return M
-
-    def test_unperturbed_pattern_deflates(self, monkeypatch):
-        M, _, _ = twin_matrix(np.random.default_rng(5))
-        shapes = eigvalsh_shapes(monkeypatch)
-        vals = eigenvalues(M).values
-        assert shapes == [(200, 200)]
-        assert np.abs(np.array(vals) - np.linalg.eigvalsh(M)).max() <= 1e-12 * M.shape[0]
-
-    @pytest.mark.parametrize("how", ["diagonal", "weight_2", "unequal_b"])
-    def test_bad_values_take_the_dense_path(self, how):
-        M = self.perturbed(how)
-        _, reps, _ = spectra._twin_classes(M)
-        assert reps.size <= spectra._QUOTIENT_MAX_SHARE * M.shape[0]  # the pattern alone would deflate
-        assert eigenvalues(M).values == tuple(np.linalg.eigvalsh(M).tolist())
+class TestTheFormEigenvaluesRelyOn:
+    @given(twin_rich_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_pattern_twins_swap_and_the_diagonal_gives_the_tolerance(self, G):
+        """Swapping a pattern twin u with its representative r moves only
+        rows and columns u and r, so for a symmetric M it leaves M unchanged
+        iff row r, read through the swap, is row u and row u so read is
+        row r."""
+        for kind in MATRIX_KINDS:
+            M = matrix_of(G, kind)
+            assert np.array_equal(M, M.T)
+            label, reps, _ = spectra._twin_classes(M)
+            for u in np.flatnonzero(reps[label] != np.arange(G.n)).tolist():
+                r = int(reps[label[u]])
+                swap = np.arange(G.n)
+                swap[[u, r]] = r, u
+                assert np.array_equal(M[r, swap], M[u]) and np.array_equal(M[u, swap], M[r])
+            assert eigenvalues(M).tol == 1e-8 * max(1.0, float(np.abs(M).max()))
 
 
 def connected_base(seed: int, n: int, m: int) -> Graph:
@@ -178,6 +166,13 @@ def connected_base(seed: int, n: int, m: int) -> Graph:
 
 class TestMemoryAndSolveShapes:
     BASE = connected_base(4301, 64, 128)
+
+    def test_true_twin_blow_up_solves_one_200_quotient(self, monkeypatch):
+        M = matrix_of(true_twin_blow_up(np.random.default_rng(5)), "adjacency")
+        shapes = eigvalsh_shapes(monkeypatch)
+        vals = eigenvalues(M).values
+        assert shapes == [(200, 200)]
+        assert np.abs(np.array(vals) - np.linalg.eigvalsh(M)).max() <= 1e-12 * M.shape[0]
 
     def test_peak_memory_on_the_43_composite(self, monkeypatch):
         M = matrix_of(join(extended_double_cover(self.BASE), empty(1920)), "laplacian")
