@@ -6,11 +6,15 @@ and returns a TheoremReport.  Hypothesis failure is data, not an exception:
 the verdict enum carries it so near-miss cases stay visible.
 
 Claims are addressed by short identifiers (e.g. "3.2", "4.10") which are
-also the CLI vocabulary; see CLAIMS.
+also the CLI vocabulary; see CLAIMS.  A claim's default eps is its
+checker's eps default.  The join families state each closed form and edge
+bound once, and the mixed pairs reuse them on composite bases.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -138,18 +142,7 @@ class FamilySpec:
     closed_form_le: float
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "k": self.k,
-            "t": self.t,
-            "composite_n": self.composite_n,
-            "composite_m": self.composite_m,
-            "avg_degree_prime": self.avg_degree_prime,
-            "closed_form_le": self.closed_form_le,
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +151,6 @@ class FamilySpec:
 
 def _tensor_k2_power(G: Graph, s: int) -> Graph:
     """s-fold Kronecker product with a single edge."""
-    if s < 0:
-        raise ParameterError(f"tensor power must be nonnegative, got {s}")
     out = G
     for _ in range(s):
         out = kronecker_product(out, complete(2))
@@ -230,15 +221,12 @@ def check_tensor_k2_vs_double_energy(G: Graph, eps: float = EPS_ENERGY) -> Theor
                        {"cospectral": cospectral})
 
 
-def check_tensor_power_vs_kfold_energy(G: Graph, k: int = 2, s: int | None = None,
-                                       eps: float = EPS_ENERGY) -> TheoremReport:
-    """k-fold and s-th tensor power are equienergetic exactly when k = 2**s."""
-    if k < 1:
-        raise ParameterError(f"fold count must be positive, got {k}")
-    if s is None:
-        s = max(k.bit_length() - 1, 1)
-    base = energy(G).value
+def check_tensor_power_vs_kfold_energy(G: Graph, k: int = 2, eps: float = EPS_ENERGY) -> TheoremReport:
+    """k-fold and s-th tensor power, s = max(floor(log2 k), 1), are
+    equienergetic exactly when k = 2**s."""
+    s = max(k.bit_length() - 1, 1)
     e_fold = energy(k_fold(G, k)).value
+    base = energy(G).value
     e_power = energy(_tensor_k2_power(G, s)).value
     equal_expected = 1.0 if k == 2 ** s else 0.0
     equal_observed = 1.0 if abs(e_fold - e_power) <= eps * max(1.0, e_fold) else 0.0
@@ -408,6 +396,42 @@ def kfold_le_formula(G: Graph, k: int = 2, eps: float = EPS_ENERGY) -> TheoremRe
 # equienergetic join families
 # ---------------------------------------------------------------------------
 
+def _check_family_args(graphs: tuple[Graph, ...], p: int, partner: str = "join partner") -> None:
+    if any(G.n == 0 for G in graphs):
+        raise ParameterError("family needs a nonempty base graph" if len(graphs) == 1
+                             else "family needs nonempty base graphs")
+    if p < 1:
+        raise ParameterError(f"{partner} size must be positive, got {p}")
+
+
+def _edc_join_le(n: int, m: int, p: int, t: int) -> tuple[float, float]:
+    """Average degree and closed-form Laplacian energy of the t-th iterated
+    cover of an (n, m) graph joined with an empty graph on p vertices
+    (4.3/4.4)."""
+    scale = 1 << t
+    N = scale * n
+    avg = (2.0 * scale * m + scale * t * n + 2.0 * p * N) / (p + N)
+    return avg, (N * (t + 2) + 2.0 * scale * m) + (p - N) * avg
+
+
+def _kfold_join_le(n: int, m: int, p: int, k: int) -> tuple[float, float]:
+    """Average degree and closed-form Laplacian energy of the k-fold graph
+    of an (n, m) graph joined with an empty graph on p vertices (4.6/4.7)."""
+    N = k * n
+    avg = (2.0 * k * k * m + 2.0 * p * N) / (p + N)
+    return avg, (2.0 * N + 2.0 * k * k * m) + (p - N) * avg
+
+
+def _edc_join_edges_fit(n: int, m: int, k: int, t: int) -> bool:
+    """The edge bound of 4.3/4.4, m <= (k - t) n / 2 + k^2 / 2^(t+1), in integers."""
+    return (2 << t) * m <= (1 << t) * (k - t) * n + k * k
+
+
+def _kfold_join_edges_fit(n: int, m: int, k: int, t: int) -> bool:
+    """The edge bound of 4.6/4.7, m <= t (k n + t) / (2 k^2), in integers."""
+    return 2 * k * k * m <= t * (k * n + t)
+
+
 def family_join_edc(G: Graph, p: int, t: int = 1, k: int | None = None,
                     eps: float = EPS_FAMILY,
                     theorem_id: str | None = None) -> tuple[FamilySpec, TheoremReport]:
@@ -417,24 +441,19 @@ def family_join_edc(G: Graph, p: int, t: int = 1, k: int | None = None,
     only, so all same-parameter instances are mutually equienergetic; the
     closed form is checked against direct eigencomputation.
     """
-    if G.n == 0:
-        raise ParameterError("family needs a nonempty base graph")
-    if p < 1:
-        raise ParameterError(f"join partner size must be positive, got {p}")
+    _check_family_args((G,), p)
     composite = join(iterated_edc(G, t), empty(p))
     if k is None:
         k = smallest_feasible_edc_join_slack(G, t)
     n, m = G.n, G.m
-    scale = 1 << t
     hyp = {
         "iterations_at_least_1": t >= 1,
         "slack_at_least_t_plus_2": k >= t + 2,
-        "p_large_enough": p >= scale * n + k,
+        "p_large_enough": p >= (1 << t) * n + k,
         "edges_small_enough": _edc_join_edges_fit(n, m, k, t),
     }
     tid = theorem_id or ("4.3" if t == 1 else "4.4")
-    avg = (2.0 * scale * m + scale * t * n + 2.0 * scale * p * n) / (p + scale * n)
-    closed = scale * n * (t + 2) + (p - scale * n) * avg + scale * 2.0 * m
+    avg, closed = _edc_join_le(n, m, p, t)
     direct = laplacian_energy(composite).value
     spec = FamilySpec(tid, n, m, p, k, t, composite.n, composite.m, avg, closed)
     report = make_report(tid, hyp, (closed,), (direct,), eps,
@@ -448,12 +467,7 @@ def family_join_kfold(G: Graph, p: int, k: int = 2, t: int | None = None,
     """Join of the k-fold graph with an empty graph on p vertices; t is the
     slack in the hypotheses.  Same closed-form-vs-direct contract as the
     cover family."""
-    if G.n == 0:
-        raise ParameterError("family needs a nonempty base graph")
-    if p < 1:
-        raise ParameterError(f"join partner size must be positive, got {p}")
-    if k < 1:
-        raise ParameterError(f"fold count must be positive, got {k}")
+    _check_family_args((G,), p)
     composite = join(k_fold(G, k), empty(p))
     if t is None:
         t = smallest_feasible_kfold_join_slack(G, k)
@@ -465,8 +479,7 @@ def family_join_kfold(G: Graph, p: int, k: int = 2, t: int | None = None,
         "edges_small_enough": _kfold_join_edges_fit(n, m, k, t),
     }
     tid = theorem_id or ("4.6" if k == 2 else "4.7")
-    avg = (2.0 * k * k * m + 2.0 * p * k * n) / (p + k * n)
-    closed = 2.0 * k * n + (p - k * n) * avg + 2.0 * m * k * k
+    avg, closed = _kfold_join_le(n, m, p, k)
     direct = laplacian_energy(composite).value
     spec = FamilySpec(tid, n, m, p, k, t, composite.n, composite.m, avg, closed)
     report = make_report(tid, hyp, (closed,), (direct,), eps,
@@ -474,30 +487,24 @@ def family_join_kfold(G: Graph, p: int, k: int = 2, t: int | None = None,
     return spec, report
 
 
-def smallest_feasible_edc_join_slack(G: Graph, t: int = 1, limit: int = 512) -> int:
+def _smallest_slack(fits: Callable[[int], bool], start: int) -> int:
+    """The first slack from start up that satisfies an edge bound; every
+    bound holds once the slack is large enough."""
+    return next(s for s in itertools.count(start) if fits(s))
+
+
+def smallest_feasible_edc_join_slack(G: Graph, t: int = 1) -> int:
     """Smallest slack satisfying the edge bound for the cover join family."""
-    for k in range(t + 2, limit):
-        if _edc_join_edges_fit(G.n, G.m, k, t):
-            return k
-    raise ParameterError(f"no feasible slack below {limit} for n={G.n}, m={G.m}, t={t}")
+    if t < 0:
+        raise ParameterError(f"iteration count must be nonnegative, got {t}")
+    return _smallest_slack(lambda k: _edc_join_edges_fit(G.n, G.m, k, t), t + 2)
 
 
-def smallest_feasible_kfold_join_slack(G: Graph, k: int = 2, limit: int = 512) -> int:
+def smallest_feasible_kfold_join_slack(G: Graph, k: int = 2) -> int:
     """Smallest slack satisfying the edge bound for the k-fold join family."""
-    for t in range(2 * k, limit):
-        if _kfold_join_edges_fit(G.n, G.m, k, t):
-            return t
-    raise ParameterError(f"no feasible slack below {limit} for n={G.n}, m={G.m}, k={k}")
-
-
-def _edc_join_edges_fit(n: int, m: int, k: int, t: int) -> bool:
-    """The edge bound of 4.3/4.4: m <= (k - t) n / 2 + k^2 / 2^(t+1)."""
-    return m <= (k - t) * n / 2.0 + k * k / (2.0 * (1 << max(t, 0)))
-
-
-def _kfold_join_edges_fit(n: int, m: int, k: int, t: int) -> bool:
-    """The edge bound of 4.6/4.7: m <= t (k n + t) / (2 k^2)."""
-    return m <= t * (k * n + t) / (2.0 * k * k)
+    if k < 1:
+        raise ParameterError(f"fold count must be positive, got {k}")
+    return _smallest_slack(lambda t: _kfold_join_edges_fit(G.n, G.m, k, t), 2 * k)
 
 
 MIXED_FAMILY_IDS = ("thm48", "thm49", "eq41_42")
@@ -511,14 +518,15 @@ def family_mixed(mixed_id: str, G1: Graph, G2: Graph, p: int, k: int = 4,
     thm49:   double of cover(G1) vs twice-iterated cover(G2), needs m2 = 2*m1;
     eq41_42: double(G1) vs cover(G2), needs 4*m1 = 2*m2 + n.
     Both composites are joined with an empty graph on p vertices and their
-    direct Laplacian energies are compared with each closed form.
+    direct Laplacian energies are compared with each closed form.  Each
+    side is a double (the 2-fold graph) or an iterated cover of a smaller
+    base, so its closed form is 4.6 or 4.3/4.4 on that base: 4.6 on cover(G1)
+    and 4.3 on double(G2) for thm48, 4.6 on cover(G1) and 4.4 on G2 for
+    thm49, 4.6 on G1 and 4.3 on G2 for eq41_42.  All use n = |V(G1)|.
     """
     if mixed_id not in MIXED_FAMILY_IDS:
         raise ParameterError(f"unknown mixed family {mixed_id!r}; choose from {MIXED_FAMILY_IDS}")
-    if G1.n == 0 or G2.n == 0:
-        raise ParameterError("family needs nonempty base graphs")
-    if p < 1:
-        raise ParameterError(f"join partner size must be positive, got {p}")
+    _check_family_args((G1, G2), p)
     n, m1, m2 = G1.n, G1.m, G2.m
     same_order = G1.n == G2.n
 
@@ -529,46 +537,37 @@ def family_mixed(mixed_id: str, G1: Graph, G2: Graph, p: int, k: int = 4,
             "edge_relation": same_order and 4 * m2 == 4 * m1 + n,
             "slack_at_least_4": k >= 4,
             "p_large_enough": p >= 4 * n + k,
-            "edges_small_enough": m2 <= n * (k - 2) / 4.0 + k * k / 16.0,
+            "edges_small_enough": 16 * m2 <= 4 * n * (k - 2) + k * k,
         }
-        c1 = join(double_graph(extended_double_cover(G1)), empty(p))
-        c2 = join(extended_double_cover(double_graph(G2)), empty(p))
-        avg1 = (16.0 * m1 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
-        avg2 = (16.0 * m2 + 4.0 * n + 8.0 * p * n) / (p + 4 * n)
-        closed1 = 16.0 * n + 16.0 * m1 + (p - 4 * n) * avg1
-        closed2 = 12.0 * n + 16.0 * m2 + (p - 4 * n) * avg2
+        H1, H2 = double_graph(extended_double_cover(G1)), extended_double_cover(double_graph(G2))
+        avg1, closed1 = _kfold_join_le(2 * n, 2 * m1 + n, p, 2)
+        avg2, closed2 = _edc_join_le(2 * n, 4 * m2, p, 1)
     elif mixed_id == "thm49":
         hyp = {
             "same_order": same_order,
             "edge_relation": same_order and m2 == 2 * m1,
             "slack_at_least_4": k >= 4,
             "p_large_enough": p >= 4 * n + k,
-            "edges_small_enough": m2 <= k * (4 * n + k) / 8.0 - n,
+            "edges_small_enough": 8 * m2 <= k * (4 * n + k) - 8 * n,
         }
-        c1 = join(double_graph(extended_double_cover(G1)), empty(p))
-        c2 = join(iterated_edc(G2, 2), empty(p))
-        avg1 = (16.0 * m1 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
-        avg2 = (8.0 * m2 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
-        closed1 = 16.0 * n + 16.0 * m1 + (p - 4 * n) * avg1
-        closed2 = 16.0 * n + 8.0 * m2 + (p - 4 * n) * avg2
+        H1, H2 = double_graph(extended_double_cover(G1)), iterated_edc(G2, 2)
+        avg1, closed1 = _kfold_join_le(2 * n, 2 * m1 + n, p, 2)
+        avg2, closed2 = _edc_join_le(n, m2, p, 2)
     else:
         hyp = {
             "same_order": same_order,
             "edge_relation": same_order and 4 * m1 == 2 * m2 + n,
             "slack_at_least_4": k >= 4,
             "p_large_enough": p >= 2 * n + k,
-            "edges_small_enough_double": m1 <= k * (2 * n + k) / 8.0,
-            "edges_small_enough_cover": m2 <= (k - 1) * n / 2.0 + k * k / 4.0,
+            "edges_small_enough_double": _kfold_join_edges_fit(n, m1, 2, k),
+            "edges_small_enough_cover": _edc_join_edges_fit(n, m2, k, 1),
         }
-        c1 = join(double_graph(G1), empty(p))
-        c2 = join(extended_double_cover(G2), empty(p))
-        avg1 = (8.0 * m1 + 4.0 * p * n) / (p + 2 * n)
-        avg2 = (4.0 * m2 + 2.0 * n + 4.0 * p * n) / (p + 2 * n)
-        closed1 = 4.0 * n + 8.0 * m1 + (p - 2 * n) * avg1
-        closed2 = 6.0 * n + 4.0 * m2 + (p - 2 * n) * avg2
+        H1, H2 = double_graph(G1), extended_double_cover(G2)
+        avg1, closed1 = _kfold_join_le(n, m1, p, 2)
+        avg2, closed2 = _edc_join_le(n, m2, p, 1)
 
-    le1 = laplacian_energy(c1).value
-    le2 = laplacian_energy(c2).value
+    le1 = laplacian_energy(join(H1, empty(p))).value
+    le2 = laplacian_energy(join(H2, empty(p))).value
     return make_report(mixed_id, hyp, (closed1, closed2, 0.0), (le1, le2, le1 - le2), eps,
                        {"p": p, "k": k, "m1": m1, "m2": m2,
                         "avg_degree_prime_1": avg1, "avg_degree_prime_2": avg2})
@@ -578,10 +577,8 @@ def family_cartesian(G1: Graph, G2: Graph, p: int, eps: float = EPS_FAMILY) -> T
     """Covers crossed with a complete graph: the composites are equienergetic
     exactly when the base graphs are, each matching the closed form
     (p-1)*LE(G) + 4pn - 4n under the stated Q-spectrum floor."""
-    if G1.n == 0 or G2.n == 0:
-        raise ParameterError("family needs nonempty base graphs")
-    if p < 1:
-        raise ParameterError(f"complete factor size must be positive, got {p}")
+    _check_family_args((G1, G2), p, "complete factor")
+    kp = complete(p)
     n, m = G1.n, G1.m
     q1 = spectrum_of(G1, "signless_laplacian").values
     q2 = spectrum_of(G2, "signless_laplacian").values
@@ -598,7 +595,6 @@ def family_cartesian(G1: Graph, G2: Graph, p: int, eps: float = EPS_FAMILY) -> T
     le_base2 = laplacian_energy(G2).value
     closed1 = (p - 1) * le_base1 + 4.0 * p * n - 4.0 * n
     closed2 = (p - 1) * le_base2 + 4.0 * p * n - 4.0 * n
-    kp = complete(p)
     le1 = laplacian_energy(cartesian_product(extended_double_cover(G1), kp)).value
     le2 = laplacian_energy(cartesian_product(extended_double_cover(G2), kp)).value
     iff_match = (abs(le1 - le2) <= eps) == (abs(le_base1 - le_base2) <= eps)
@@ -614,51 +610,49 @@ def family_cartesian(G1: Graph, G2: Graph, p: int, eps: float = EPS_FAMILY) -> T
 @dataclass(frozen=True)
 class Claim:
     """How one claim runs: the CLI command that owns it ("verify" or
-    "family"), its checker and default eps, whether the checker takes a
-    second graph after the first, and which checker parameter each given
-    CLI option (k, t or p) sets."""
+    "family"), its checker (whose eps default is the claim's), whether the
+    checker takes a second graph after the first, and which checker
+    parameter each given CLI option (k, t or p) sets."""
 
     command: str
     check: Callable
-    eps: float
     needs_second: bool = False
     options: dict = field(default_factory=dict)
 
 
 _K = {"k": "k"}
 _PK = {"p": "p", "k": "k"}
+_PKT = {"p": "p", "k": "k", "t": "t"}
 
 CLAIMS: dict[str, Claim] = {
-    "2.4": Claim("verify", check_edc_adjacency_spectrum, EPS_SPECTRUM),
-    "2.5": Claim("verify", check_kfold_adjacency_spectrum, EPS_SPECTRUM, options=_K),
-    "2.6": Claim("verify", check_tensor_k2_vs_double_energy, EPS_ENERGY),
-    "2.7": Claim("verify", check_tensor_power_vs_kfold_energy, EPS_ENERGY, options=_K),
-    "2.8": Claim("verify", check_edc_tensor_vs_iterated_energy, EPS_ENERGY),
-    "2.9": Claim("verify", check_edc_vs_double_energy_bipartite, EPS_ENERGY),
-    "2.edc-energy": Claim("verify", check_edc_energy_formula, EPS_ENERGY),
-    "2.kron-cart": Claim("verify", check_tensor_cartesian_energy, EPS_ENERGY),
-    "3.2": Claim("verify", check_edc_laplacian_spectrum, EPS_SPECTRUM),
-    "3.3": Claim("verify", check_iterated_edc_laplacian_spectrum, EPS_SPECTRUM, options=_K),
-    "3.5": Claim("verify", check_edc_spanning_trees, EPS_TREES),
-    "3.6": Claim("verify", check_edc_cartesian_cospectral, EPS_SPECTRUM),
-    "3.7": Claim("verify", check_laplacian_integrality_iteration, 1e-8, options=_K),
-    "3.8": Claim("verify", check_iterated_cospectral_pair, EPS_SPECTRUM, True, _K),
-    "3.chain": Claim("verify", check_bipartite_cospectral_chain, EPS_SPECTRUM, options=_K),
-    "4.1": Claim("verify", check_kfold_laplacian_spectrum, EPS_SPECTRUM, options=_K),
-    "4.2": Claim("verify", check_le_doubling, EPS_ENERGY),
-    "4.kfold-le": Claim("verify", kfold_le_formula, EPS_ENERGY, options=_K),
+    "2.4": Claim("verify", check_edc_adjacency_spectrum),
+    "2.5": Claim("verify", check_kfold_adjacency_spectrum, options=_K),
+    "2.6": Claim("verify", check_tensor_k2_vs_double_energy),
+    "2.7": Claim("verify", check_tensor_power_vs_kfold_energy, options=_K),
+    "2.8": Claim("verify", check_edc_tensor_vs_iterated_energy),
+    "2.9": Claim("verify", check_edc_vs_double_energy_bipartite),
+    "2.edc-energy": Claim("verify", check_edc_energy_formula),
+    "2.kron-cart": Claim("verify", check_tensor_cartesian_energy),
+    "3.2": Claim("verify", check_edc_laplacian_spectrum),
+    "3.3": Claim("verify", check_iterated_edc_laplacian_spectrum, options=_K),
+    "3.5": Claim("verify", check_edc_spanning_trees),
+    "3.6": Claim("verify", check_edc_cartesian_cospectral),
+    "3.7": Claim("verify", check_laplacian_integrality_iteration, options=_K),
+    "3.8": Claim("verify", check_iterated_cospectral_pair, True, _K),
+    "3.chain": Claim("verify", check_bipartite_cospectral_chain, options=_K),
+    "4.1": Claim("verify", check_kfold_laplacian_spectrum, options=_K),
+    "4.2": Claim("verify", check_le_doubling),
+    "4.kfold-le": Claim("verify", kfold_le_formula, options=_K),
     # --k is the slack of 4.3, 4.4 and 4.6; 4.7 takes the fold from --k and the slack from --t
-    "4.3": Claim("family", partial(family_join_edc, t=1, theorem_id="4.3"), EPS_FAMILY, options=_PK),
-    "4.4": Claim("family", partial(family_join_edc, t=2, theorem_id="4.4"), EPS_FAMILY,
-                 options={"p": "p", "k": "k", "t": "t"}),
-    "4.6": Claim("family", partial(family_join_kfold, k=2, theorem_id="4.6"), EPS_FAMILY,
+    "4.3": Claim("family", partial(family_join_edc, t=1, theorem_id="4.3"), options=_PK),
+    "4.4": Claim("family", partial(family_join_edc, t=2, theorem_id="4.4"), options=_PKT),
+    "4.6": Claim("family", partial(family_join_kfold, k=2, theorem_id="4.6"),
                  options={"p": "p", "t": "k"}),
-    "4.7": Claim("family", partial(family_join_kfold, k=3, theorem_id="4.7"), EPS_FAMILY,
-                 options={"p": "p", "k": "k", "t": "t"}),
-    "4.8": Claim("family", partial(family_mixed, "thm48"), EPS_FAMILY, True, _PK),
-    "4.9": Claim("family", partial(family_mixed, "thm49"), EPS_FAMILY, True, _PK),
-    "4.10": Claim("family", family_cartesian, EPS_FAMILY, True, {"p": "p"}),
-    "eq41": Claim("family", partial(family_mixed, "eq41_42"), EPS_FAMILY, True, _PK),
+    "4.7": Claim("family", partial(family_join_kfold, k=3, theorem_id="4.7"), options=_PKT),
+    "4.8": Claim("family", partial(family_mixed, "thm48"), True, _PK),
+    "4.9": Claim("family", partial(family_mixed, "thm49"), True, _PK),
+    "4.10": Claim("family", family_cartesian, True, {"p": "p"}),
+    "eq41": Claim("family", partial(family_mixed, "eq41_42"), True, _PK),
 }
 
 
@@ -678,12 +672,12 @@ def run_claim(command: str, theorem_id: str, G: Graph, second: Graph | None = No
         raise ParameterError(f"{command} {theorem_id} needs a second graph (--in2)")
     kwargs = {param: options[opt] for param, opt in claim.options.items()
               if options.get(opt) is not None}
-    if eps is None:
-        eps = claim.eps
-    elif not 0 <= eps < math.inf:  # also refuses nan
-        raise ParameterError(f"eps must be finite and nonnegative, got {eps!r}")
+    if eps is not None:
+        if not 0 <= eps < math.inf:  # also refuses nan
+            raise ParameterError(f"eps must be finite and nonnegative, got {eps!r}")
+        kwargs["eps"] = eps
     graphs = (G, second) if claim.needs_second else (G,)
-    out = claim.check(*graphs, eps=eps, **kwargs)
+    out = claim.check(*graphs, **kwargs)
     return out if isinstance(out, tuple) else (None, out)
 
 

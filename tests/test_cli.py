@@ -291,6 +291,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "overflows a float" in captured.err and "inf" not in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "4.3", "--in", "k3.el", "--p", "9", "--k", str(10 ** 200)],
+        ["--theorem", "4.3", "--in", "k3.el", "--p", "9", "--k", str(-10 ** 200)],
+        ["--theorem", "4.4", "--in", "k2.el", "--p", "13", "--k", str(10 ** 200)],
+        ["--theorem", "4.6", "--in", "k3.el", "--p", "10", "--k", str(10 ** 200)],
+        ["--theorem", "4.7", "--in", "k2.el", "--p", "12", "--t", str(10 ** 200)],
+        ["--theorem", "4.8", "--in", "m2.el", "--in2", "p4.el", "--p", "20", "--k", str(10 ** 200)],
+        ["--theorem", "4.9", "--in", "m2.el", "--in2", "c4.el", "--p", "20", "--k", str(10 ** 200)],
+        ["--theorem", "eq41", "--in", "m2.el", "--in2", "m2b.el", "--p", "12", "--k", str(10 ** 200)],
+    ], ids=["4.3", "4.3-negative", "4.4", "4.6", "4.7", "4.8", "4.9", "eq41"])
+    def test_slack_beyond_the_float_range_fails_a_hypothesis(self, argv, monkeypatch, capsys):
+        """The edge bounds compare integers, so a slack with no float value
+        is an answer, not an OverflowError."""
+        monkeypatch.chdir(DATA_DIR)
+        assert main(["family", *argv]) == 0
+        captured = capsys.readouterr()
+        assert '"verdict": "hypothesis_not_met"' in captured.out and captured.err == ""
+
+    def test_complete_factor_beyond_the_float_range_is_1(self, monkeypatch, capsys):
+        monkeypatch.chdir(DATA_DIR)
+        argv = ["family", "--theorem", "4.10", "--in", "k3.el", "--in2", "k3.el", "--p", str(10 ** 400)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("equigraph: error: complete graph needs")
+
 
 class TestConstructOutput:
     def test_edc_of_k2_is_c4(self, monkeypatch, capsys):

@@ -2,7 +2,8 @@
 
 The public list is pinned so that a name is added or removed on purpose.
 The import check parses every module except `__init__` and fails on a
-name that a module imports and never uses.
+name that a module imports and never uses.  The private-name check fails
+on a module-level `_name` that no module of the package reads.
 """
 
 import ast
@@ -61,3 +62,34 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = {p.name: unused_imports(ast.parse(p.read_text(), filename=str(p))) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def module_level_private_names(tree: ast.Module) -> dict[str, int]:
+    """`_name` bound by a top-level def, class or assignment (dunders aside)."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        bound.update((name, node.lineno) for name in targets
+                     if name.startswith("_") and not name.startswith("__"))
+    return bound
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names loaded, or read as an attribute, anywhere in the module."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_module_level_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*(names_read(tree) for tree in trees.values()))
+    unread = {f"{module} line {line}: {name}" for module, tree in trees.items()
+              for name, line in module_level_private_names(tree).items() if name not in read}
+    assert unread == set()

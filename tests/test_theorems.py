@@ -7,10 +7,12 @@ Frozen expected values:
   agreed with hand expansion before freezing).
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equigraph.errors import ParameterError, ResourceLimitError
 from equigraph.graphs import (
@@ -18,6 +20,7 @@ from equigraph.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    double_graph,
     empty,
     extended_double_cover,
     iterated_edc,
@@ -52,8 +55,14 @@ from equigraph.theorems import (
     family_join_kfold,
     family_mixed,
     kfold_le_formula,
+    MIXED_FAMILY_IDS,
+    _edc_join_edges_fit,
+    _edc_join_le,
+    _kfold_join_edges_fit,
+    _kfold_join_le,
     make_report,
     run_check,
+    run_claim,
     smallest_feasible_edc_join_slack,
     smallest_feasible_kfold_join_slack,
 )
@@ -188,6 +197,17 @@ class TestReportMechanics:
 
     def test_eps_zero_accepted(self):
         assert run_check("3.5", path(3), eps=0.0).verdict == VERDICT_CONFIRMED
+
+    @pytest.mark.parametrize("tid", list(CLAIMS))
+    def test_default_eps_is_the_checkers_signature_default(self, tid):
+        """Without an eps a claim runs as if given its checker's default (3.6,
+        3.7 and 3.8 report 0.5, the gate of their 0/1 outcomes)."""
+        claim = CLAIMS[tid]
+        default = inspect.signature(claim.check).parameters["eps"].default
+        graphs = (complete(3), complete(3) if claim.needs_second else None)
+        spec, report = run_claim(claim.command, tid, *graphs, p=20)
+        assert (spec, report) == run_claim(claim.command, tid, *graphs, eps=default, p=20)
+        assert report.eps == (0.5 if tid in ("3.6", "3.7", "3.8") else default)
 
     def test_all_registered_ids_run(self):
         G = path(3)
@@ -414,8 +434,7 @@ class TestJoinFamilies:
             p = (1 << t) * G.n + k
             spec, _ = family_join_edc(G, p=p, t=t, k=k)
             composite = join(iterated_edc(G, t), empty(p))
-            actual = 2.0 * composite.m / composite.n
-            assert abs(spec.avg_degree_prime - actual) <= 1e-10
+            assert spec.avg_degree_prime == 2.0 * composite.m / composite.n
 
     def test_avg_degree_matches_composite_kfold(self):
         rng = np.random.default_rng(131)
@@ -426,8 +445,7 @@ class TestJoinFamilies:
             p = fold * G.n + slack
             spec, _ = family_join_kfold(G, p=p, k=fold, t=slack)
             composite = join(k_fold(G, fold), empty(p))
-            actual = 2.0 * composite.m / composite.n
-            assert abs(spec.avg_degree_prime - actual) <= 1e-10
+            assert spec.avg_degree_prime == 2.0 * composite.m / composite.n
 
     def test_family_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
@@ -446,6 +464,50 @@ class TestJoinFamilies:
         t = smallest_feasible_kfold_join_slack(G, 2)
         assert t >= 4
         assert G.m <= t * (2 * G.n + t) / 8.0
+
+    def test_smallest_slack_refuses_a_fold_below_1_and_a_negative_iteration_count(self):
+        with pytest.raises(ParameterError, match="fold count must be positive, got 0"):
+            smallest_feasible_kfold_join_slack(complete(3), 0)
+        with pytest.raises(ParameterError, match="iteration count must be nonnegative, got -1"):
+            smallest_feasible_edc_join_slack(complete(3), -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 64), m=st.integers(0, 2016), k=st.integers(-8, 200), t=st.integers(0, 6))
+    def test_integer_edge_bounds_match_the_paper_forms(self, n, m, k, t):
+        """On values this small the float forms round to the exact answer."""
+        assert _edc_join_edges_fit(n, m, k, t) == (m <= (k - t) * n / 2.0 + k * k / 2.0 ** (t + 1))
+        if k >= 1:
+            assert _kfold_join_edges_fit(n, m, k, t) == (m <= t * (k * n + t) / (2.0 * k * k))
+
+
+def old_mixed_forms(mixed_id: str, n: int, m1: int, m2: int, p: int) -> tuple[float, ...]:
+    """The closed forms family_mixed once wrote out by hand for each side:
+    (avg1, closed1, avg2, closed2)."""
+    if mixed_id == "thm48":
+        avg1 = (16.0 * m1 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
+        avg2 = (16.0 * m2 + 4.0 * n + 8.0 * p * n) / (p + 4 * n)
+        closed1 = 16.0 * n + 16.0 * m1 + (p - 4 * n) * avg1
+        closed2 = 12.0 * n + 16.0 * m2 + (p - 4 * n) * avg2
+    elif mixed_id == "thm49":
+        avg1 = (16.0 * m1 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
+        avg2 = (8.0 * m2 + 8.0 * n + 8.0 * p * n) / (p + 4 * n)
+        closed1 = 16.0 * n + 16.0 * m1 + (p - 4 * n) * avg1
+        closed2 = 16.0 * n + 8.0 * m2 + (p - 4 * n) * avg2
+    else:
+        avg1 = (8.0 * m1 + 4.0 * p * n) / (p + 2 * n)
+        avg2 = (4.0 * m2 + 2.0 * n + 4.0 * p * n) / (p + 2 * n)
+        closed1 = 4.0 * n + 8.0 * m1 + (p - 2 * n) * avg1
+        closed2 = 6.0 * n + 4.0 * m2 + (p - 2 * n) * avg2
+    return avg1, closed1, avg2, closed2
+
+
+# mixed family -> the two composites it joins with an empty graph on p vertices
+MIXED_COMPOSITES = {
+    "thm48": (lambda G1: double_graph(extended_double_cover(G1)),
+              lambda G2: extended_double_cover(double_graph(G2))),
+    "thm49": (lambda G1: double_graph(extended_double_cover(G1)), lambda G2: iterated_edc(G2, 2)),
+    "eq41_42": (double_graph, extended_double_cover),
+}
 
 
 class TestMixedFamilies:
@@ -478,6 +540,32 @@ class TestMixedFamilies:
     def test_unknown_mixed_id(self):
         with pytest.raises(ParameterError):
             family_mixed("thm99", complete(2), complete(2), p=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_id=st.sampled_from(MIXED_FAMILY_IDS), n=st.integers(1, 4096),
+           m1=st.integers(0, 4096 * 4095 // 2), m2=st.integers(0, 4096 * 4095 // 2),
+           p=st.integers(1, 4096))
+    def test_helpers_on_composite_bases_reproduce_the_old_forms(self, mixed_id, n, m1, m2, p):
+        if mixed_id == "eq41_42":
+            sides = _kfold_join_le(n, m1, p, 2) + _edc_join_le(n, m2, p, 1)
+        else:
+            side2 = _edc_join_le(2 * n, 4 * m2, p, 1) if mixed_id == "thm48" else _edc_join_le(n, m2, p, 2)
+            sides = _kfold_join_le(2 * n, 2 * m1 + n, p, 2) + side2
+        assert sides == old_mixed_forms(mixed_id, n, m1, m2, p)
+
+    @pytest.mark.parametrize("mixed_id", MIXED_FAMILY_IDS)
+    def test_reports_the_old_forms_and_the_composites_average_degree(self, mixed_id):
+        rng = np.random.default_rng(151)
+        for _ in range(5):
+            n, p = 4, int(rng.integers(1, 24))
+            G1, G2 = random_graph(rng, n), random_graph(rng, n)
+            r = family_mixed(mixed_id, G1, G2, p=p)
+            avg1, closed1, avg2, closed2 = old_mixed_forms(mixed_id, n, G1.m, G2.m, p)
+            assert r.predicted == (closed1, closed2, 0.0)
+            for i, (build, G) in enumerate(zip(MIXED_COMPOSITES[mixed_id], (G1, G2)), start=1):
+                composite = join(build(G), empty(p))
+                assert r.details[f"avg_degree_prime_{i}"] == 2.0 * composite.m / composite.n
+            assert (avg1, avg2) == (r.details["avg_degree_prime_1"], r.details["avg_degree_prime_2"])
 
 
 class TestCartesianFamily:
