@@ -184,7 +184,7 @@ def cmd_trees(args) -> tuple[dict, int]:
         results["edc_formula"] = edc_spanning_trees_formula(G)
         results["edc_exact"] = spanning_trees_exact(cover)
     options = {} if args.method is None else {"method": args.method}
-    # counts are integers; 0.5 is the rounding gate between the float routes
+    # counts are integers; 0.5 is the rounding gate for the one float route, eigen
     report = make_report("trees", options, {"in": meta}, results, eps=0.5)
     return report, EXIT_OK
 

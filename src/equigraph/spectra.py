@@ -4,8 +4,9 @@ Three matrices are supported for a graph G with degree matrix D and
 adjacency matrix A: the adjacency matrix itself, the Laplacian D - A and
 the signless Laplacian D + A.  Spanning trees are counted twice over, by
 the spectral route (product of the n-1 largest Laplacian eigenvalues over
-n) and by an exact integer cofactor determinant, so the two routes can
-certify each other.
+n) and by an exact integer cofactor determinant (`_exact_determinant`), so
+the two routes can certify each other.  Theorem 3.5's count for the cover
+is computed in integers too, via the exact det(Q + 2I).
 
 Every matrix handed to `eigenvalues` is one that `matrix_of` built for a
 simple graph, and the eigensolve relies on that form without re-checking
@@ -29,15 +30,6 @@ every index, as on random graphs with a few leaf twins, took as long as
 the dense solve to within the run-to-run spread and needs a second matrix
 of about the same size, so it is not built.  Every spectrum still holds
 all n values.
-
-The exact determinant of a connected graph's Laplacian minor comes from
-Bareiss elimination over Python integers for minors of order up to 26, the
-measured crossover, and above it from elimination modulo primes below
-2**23 and Chinese remaindering.  The minor is positive definite, so
-Hadamard's inequality bounds its determinant by the product of its
-diagonal (the degrees), and the primes' product exceeds twice that bound.
-The modular elimination runs in float64, which is exact while every
-partial sum stays below 2**53.
 """
 
 from __future__ import annotations
@@ -45,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -286,7 +279,9 @@ def spanning_trees_eigen(G: Graph) -> float:
         return 1.0
     with np.errstate(over="ignore"):
         count = float(np.prod(vals[1:])) / G.n
-    return _finite_count(count, f"a graph on {G.n} vertices")
+    if not math.isfinite(count):
+        raise ResourceLimitError(f"the spanning-tree count of a graph on {G.n} vertices overflows a float")
+    return count
 
 
 def spanning_trees_exact(G: Graph) -> int:
@@ -294,12 +289,7 @@ def spanning_trees_exact(G: Graph) -> int:
 
     Deletes the last row and column.  A disconnected graph has no spanning
     tree and returns 0 before any elimination; otherwise the minor is
-    positive definite.  Minors of order up to `_BAREISS_MAX_ORDER` (26, the
-    measured crossover) run fraction-free (Bareiss) elimination over Python
-    integers.  Larger ones run the multi-modular determinant: float64
-    elimination modulo primes below 2**23, exact while every partial sum
-    stays below 2**53, with as many primes as Hadamard's bound (the product
-    of the degrees) needs.  Both routes are exact at any size.
+    positive definite and goes to `_exact_determinant`.
     """
     if G.n < 1:
         raise ParameterError("spanning trees undefined for the empty graph")
@@ -308,9 +298,21 @@ def spanning_trees_exact(G: Graph) -> int:
     n = G.n
     minor = np.subtract(0, G.adjacency[:n - 1, :n - 1], dtype=np.int64)
     minor.flat[::n] = G.degrees()[:n - 1]
-    if n - 1 <= _BAREISS_MAX_ORDER:
-        return _bareiss_determinant(minor.tolist())
-    return _modular_determinant(minor)
+    return _exact_determinant(minor)
+
+
+def _exact_determinant(M: np.ndarray) -> int:
+    """Determinant of a positive definite int64 matrix, exact at any order.
+
+    Up to order `_BAREISS_MAX_ORDER`, the measured crossover, fraction-free
+    (Bareiss) elimination over Python integers.  Above it, the multi-modular
+    determinant: float64 elimination modulo primes below 2**23, exact while
+    every partial sum stays below 2**53, with primes until their product
+    exceeds twice Hadamard's bound, the product of the diagonal.
+    """
+    if M.shape[0] <= _BAREISS_MAX_ORDER:
+        return _bareiss_determinant(M.tolist())
+    return _modular_determinant(M)
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:
@@ -344,7 +346,7 @@ _PRIME_LIMIT = 1 << 23
 _BLOCK = 16
 # primes per batch, so that the batch of minors stays near this size
 _BATCH_BYTES = 1 << 21
-# crossover in the minor's order: Bareiss measured faster up to here
+# where `_exact_determinant` hands over from Bareiss to the modular route
 _BAREISS_MAX_ORDER = 26
 
 # the primes found so far: a cache of one fixed sequence, never reset
@@ -473,34 +475,26 @@ def _inverse_mod(block: np.ndarray, primes: list[int], p: np.ndarray, pinv: np.n
 
 
 def edc_spanning_trees_formula(G: Graph) -> float:
-    """Spanning trees of the extended double cover from the base graph:
-    half the exact count for G times the product of (q_i + 2) over the
-    signless Laplacian spectrum of G.
-    """
+    """Spanning trees of the extended double cover from the base graph
+    (Theorem 3.5): the exact tau(G) det(Q + 2I) / 2 as a float, refused
+    when it overflows one."""
     if G.n < 1:
         raise ParameterError("spanning trees undefined for the empty graph")
-    return _finite_count(_edc_trees_from_base(G, spanning_trees_exact(G)), "the cover")
+    return _count_as_float(Fraction(_edc_trees_doubled(G, spanning_trees_exact(G)), 2), "the cover")
 
 
-def _edc_trees_from_base(G: Graph, tau: int) -> float:
-    """The cover's tree count from tau = tau(G), already known."""
-    half = 0.5 * _count_as_float(tau, "the base graph")
-    q = spectrum_of(G, "signless_laplacian").values
-    with np.errstate(over="ignore"):
-        return half * float(np.prod([v + 2.0 for v in q]))
+def _edc_trees_doubled(G: Graph, tau: int) -> int:
+    """Twice the cover's tree count by Theorem 3.5, tau(G) det(Q + 2I), from
+    tau = tau(G); Q + 2I is positive definite, as Q is semidefinite."""
+    M = G.adjacency.astype(np.int64)
+    M.flat[::G.n + 1] = G._degree_array() + 2
+    return tau * _exact_determinant(M)
 
 
-def _count_as_float(count: int, what: str) -> float:
+def _count_as_float(count: int | Fraction, what: str) -> float:
     """An exact spanning-tree count as a float, refused when it overflows."""
     try:
         return float(count)
     except OverflowError as exc:
-        raise ResourceLimitError(f"the spanning-tree count of {what} ({count.bit_length()} bits) "
+        raise ResourceLimitError(f"the spanning-tree count of {what} ({int(count).bit_length()} bits) "
                                  f"overflows a float") from exc
-
-
-def _finite_count(count: float, what: str) -> float:
-    """A spanning-tree count from a float route, refused when it overflowed."""
-    if not math.isfinite(count):
-        raise ResourceLimitError(f"the spanning-tree count of {what} overflows a float")
-    return count

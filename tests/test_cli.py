@@ -6,6 +6,7 @@ command path.  Regenerate after an intentional change with:
     EQUIGRAPH_UPDATE_GOLDENS=1 pytest tests/test_cli.py
 """
 
+import json
 import math
 import os
 import re
@@ -386,21 +387,58 @@ def test_argument_parser_is_built_once(monkeypatch, capsys):
 N_ABOVE_CROSSOVER = spectra._BAREISS_MAX_ORDER + 2
 
 
+def _write_complete(tmp_path, n, monkeypatch):
+    (tmp_path / "kn.el").write_text(emit_graph(complete(n), "edgelist").payload)
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv,exact_count", [
     (["trees", "--in", "kn.el", "--method", "edc-formula"], N_ABOVE_CROSSOVER ** (2 * N_ABOVE_CROSSOVER - 2)),
     (["verify", "--in", "kn.el", "--theorem", "3.5"], N_ABOVE_CROSSOVER ** (N_ABOVE_CROSSOVER - 2)),
 ], ids=["trees-edc-formula", "verify-3.5"])
 def test_tree_counts_above_the_crossover_run_one_determinant_per_graph(argv, exact_count, tmp_path,
                                                                        monkeypatch, capsys):
-    """One exact determinant of G and one of its cover, both past the order
-    where the modular route takes over from Bareiss."""
+    """One exact determinant each of G's minor, of Q + 2I and of the cover's
+    minor, all past the order where the modular route takes over from Bareiss."""
     n = N_ABOVE_CROSSOVER
-    (tmp_path / "kn.el").write_text(emit_graph(complete(n), "edgelist").payload)
-    monkeypatch.chdir(tmp_path)
+    _write_complete(tmp_path, n, monkeypatch)
     orders = []
     modular = spectra._modular_determinant
     monkeypatch.setattr(spectra, "_modular_determinant", lambda m: orders.append(len(m)) or modular(m))
     monkeypatch.setattr(spectra, "_bareiss_determinant", None)
     assert main(argv) in (0, 3)
-    assert orders == [n - 1, 2 * n - 1]
+    assert orders == [n - 1, n, 2 * n - 1]
     assert str(exact_count) in capsys.readouterr().out
+
+
+def test_verify_35_past_the_float_range_refuses_before_the_cover(tmp_path, monkeypatch, capsys):
+    """The cover of K_82 has 82^162 (about 2**1030) spanning trees: the formula
+    side refuses it, so the cover's order-163 minor is never eliminated."""
+    _write_complete(tmp_path, 82, monkeypatch)
+    orders = []
+    modular = spectra._modular_determinant
+    monkeypatch.setattr(spectra, "_modular_determinant", lambda m: orders.append(len(m)) or modular(m))
+    assert main(["verify", "--in", "kn.el", "--theorem", "3.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows a float" in captured.err
+    assert orders == [81, 82]
+
+
+@pytest.mark.parametrize("n", [81, 82])
+@pytest.mark.parametrize("argv", [["trees", "--in", "kn.el", "--method", "edc-formula"],
+                                  ["verify", "--in", "kn.el", "--theorem", "3.5"]],
+                         ids=["trees-edc-formula", "verify-3.5"])
+def test_tree_counts_near_the_float_range_print_floats_or_exit_1(argv, n, tmp_path, monkeypatch, capsys):
+    """Every count a report prints reads as a finite float; a count past the
+    float range exits 1 and prints nothing, never a larger integer."""
+    _write_complete(tmp_path, n, monkeypatch)
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code != 0:
+        assert code == 1 and captured.out == "" and "overflows a float" in captured.err
+        return
+    results = json.loads(captured.out)["results"]
+    report = results.get("report")
+    counts = ([*report["predicted"], *report["computed"], *report["details"].values()] if report
+              else list(results.values()))
+    assert counts and all(math.isfinite(float(v)) for v in counts)

@@ -8,6 +8,7 @@ Frozen expected values:
 """
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from equigraph.graphs import (
     double_graph,
     empty,
     extended_double_cover,
+    is_connected,
     iterated_edc,
     join,
     k_fold,
@@ -330,8 +332,28 @@ class TestTreesAndIntegrality:
         monkeypatch.setattr(spectra, "_bareiss_determinant",
                             lambda rows: orders.append(len(rows)) or bareiss(rows))
         r = run_check("3.5", complete(5))
-        assert orders == [4, 9]  # tau(G), then tau(cover)
+        assert orders == [4, 5, 9]  # tau(G), det(Q + 2I), then tau(cover)
         assert r.details["base_exact"] == 125 and r.verdict == VERDICT_CONFIRMED
+
+    @pytest.mark.parametrize("n", [12, 40, 81])
+    def test_edc_trees_check_is_exact_past_the_float_mantissa(self, n):
+        """The cover of K_n has n^(2n-2) spanning trees: past 2**53 from K_12
+        up, and just inside the float range at K_81."""
+        r = run_check("3.5", complete(n))
+        assert r.verdict == VERDICT_CONFIRMED and r.max_abs_deviation == 0
+
+    def test_edc_trees_verdict_does_not_depend_on_labels(self):
+        """A connected 12-vertex, 40-edge graph whose cover has about 2**64
+        spanning trees, under 40 relabelings."""
+        rng = np.random.default_rng(2)
+        pairs = list(itertools.combinations(range(12), 2))
+        edges = [pairs[i] for i in rng.choice(len(pairs), 40, replace=False)]
+        assert is_connected(Graph(12, edges))
+        for _ in range(40):
+            perm = rng.permutation(12).tolist()
+            G = Graph(12, [tuple(sorted((perm[u], perm[v]))) for u, v in edges])
+            r = run_check("3.5", G)
+            assert r.verdict == VERDICT_CONFIRMED and r.max_abs_deviation == 0
 
     def test_integrality_iteration(self):
         r = run_check("3.7", complete(4), k=2)
