@@ -12,24 +12,21 @@ Every matrix handed to `eigenvalues` is one that `matrix_of` built for a
 simple graph, and the eigensolve relies on that form without re-checking
 it: the off-diagonal entries are 0 or +-1, so the largest |entry| is
 max(1, largest diagonal entry), and an index's row depends only on its
-vertex's neighbour set and degree.  Large eigensolves deflate twins first.
-From order 512 up, indices with identical rows of the nonzero pattern
-(false twins) or identical rows once the diagonal is set (true twins) are
-grouped.  Swapping two such indices is a graph automorphism, and equal
-neighbourhoods give equal degrees, so the pattern's twins are the
-matrix's twins.  A class of s twins adds one known eigenvalue s - 1 times,
-and LAPACK solves only the quotient over the classes, when it keeps at
-most 3/4 of the order.  The paper's joins with an empty graph and its
-k-fold graphs are made of such classes: the order-2048 join of family 4.3
-has 129, and its Laplacian solves in about 8 ms against 565 ms for the
-full matrix.  Both gates were measured with `tools/bench_eigensolve.py`.
-Detection is a larger share of a small solve (about 0.5 ms next to 4 ms at
-order 256, 0.8 ms next to 14 ms at 512, 7 ms next to 580 ms at 2048), and
-below 512 the values stay exactly LAPACK's.  A quotient that keeps nearly
-every index, as on random graphs with a few leaf twins, took as long as
-the dense solve to within the run-to-run spread and needs a second matrix
-of about the same size, so it is not built.  Every spectrum still holds
-all n values.
+vertex's neighbour set and degree.  From order 512 up, an eigensolve
+reduces the matrix first (gates measured with `tools/bench_eigensolve.py`;
+below 512 the values stay exactly LAPACK's).  A block-symmetric matrix
+I_p (x) B + (J_p - I_p) (x) C is solved as B + (p - 1)C and p - 1 copies of
+B - C, each part split again: the paper's covers, G (x) K_2, k-folds and
+G x K_p all split.  Self-comparison: the split of the cover's Laplacian is
+exactly L(G) and Q(G) + 2I, the proof of Theorem 3.2, so from order 512 up
+`verify 3.2` makes nearly the predictor's LAPACK calls; it still tests the
+construction, since a wrong block fails the exact equality.  The exact
+determinants never use the split.  What does not split deflates its twins:
+swapping two indices with identical rows of the nonzero pattern is a graph
+automorphism, so LAPACK solves only the quotient over the twin classes,
+when it keeps at most 3/4 of the order (129 classes and about 8 ms, against
+565 ms dense, for the order-2048 join of family 4.3).  Every spectrum still
+holds all n values.
 """
 
 from __future__ import annotations
@@ -114,13 +111,11 @@ def eigenvalues(M: np.ndarray) -> Spectrum:
     an index's row depends only on its vertex's neighbours and degree.
 
     Backed by LAPACK's symmetric solver; deterministic for identical input.
-    From order 512 (`_DEFLATE_MIN_ORDER`) up, twin indices are deflated
-    first (`_deflated_eigenvalues`).  A class of s indices that can be
-    swapped without changing M contributes its one known eigenvalue, a - b,
-    s - 1 times, and LAPACK solves only the c x c quotient over the c
-    classes when 4c <= 3n (`_QUOTIENT_MAX_SHARE`); otherwise the full
-    matrix is solved.  Below 512 the values are exactly those of
-    `np.linalg.eigvalsh(M)`.  Either way all n values come back,
+    From order 512 (`_DEFLATE_MIN_ORDER`) up, M is first reduced
+    (`_reduced_eigenvalues`): split into the blocks of a block-symmetric
+    layout (`_block_split`), and, when it splits no further, deflated by
+    its twins (`_deflated_eigenvalues`).  Below 512 the values are exactly
+    those of `np.linalg.eigvalsh(M)`.  Either way all n values come back,
     ascending, converted to Python floats in one `tolist` and not
     re-checked.  The attached tolerance is 1e-8 * max |M|, so later
     multiset comparisons default to something sensible; by the form of M
@@ -128,16 +123,17 @@ def eigenvalues(M: np.ndarray) -> Spectrum:
     alone.
     """
     n = M.shape[0]
-    vals = _deflated_eigenvalues(M) if n >= _DEFLATE_MIN_ORDER else None
-    if vals is None:
+    if n >= _DEFLATE_MIN_ORDER:
+        vals = np.sort(_reduced_eigenvalues(M, whole=True)).tolist()
+    else:
         vals = np.linalg.eigvalsh(M).tolist() if n else []
     tol = 1e-8 * max(1.0, float(np.diagonal(M).max())) if n else 1e-8
     return Spectrum._of_sorted(tuple(vals), tol)
 
 
-# Twin deflation runs from this order up.  Detection is a larger share of a
-# small solve (about 0.5 ms next to 4 ms at 256, 1 ms next to 16 ms at 512),
-# and below it every spectrum stays exactly LAPACK's.
+# Blocks and twins are reduced from this order up.  Twin detection is a
+# larger share of a small solve (about 0.5 ms next to 4 ms at 256, 1 ms
+# next to 16 ms at 512), and below it every spectrum stays exactly LAPACK's.
 _DEFLATE_MIN_ORDER = 512
 # The quotient is solved only when it keeps at most this share of the order
 # (4c <= 3n).  On random graphs with a few leaf twins (c near n) it took as
@@ -145,8 +141,57 @@ _DEFLATE_MIN_ORDER = 512
 _QUOTIENT_MAX_SHARE = 0.75
 
 
-def _deflated_eigenvalues(M: np.ndarray) -> list[float] | None:
-    """The spectrum of M from its twin classes, or None to solve M densely.
+def _reduced_eigenvalues(M: np.ndarray, whole: bool = False) -> np.ndarray:
+    """Every eigenvalue of the symmetric M, unsorted.  A part with no
+    off-diagonal entry gives its diagonal; else the block split comes first,
+    and what splits no further is deflated by its twins from order 512 up,
+    then solved by LAPACK."""
+    if not whole and np.count_nonzero(M) == np.count_nonzero(np.diagonal(M)):
+        return np.diagonal(M).copy()
+    split = _block_split(M)
+    if split is not None:
+        S, D, p = split
+        return np.concatenate([_reduced_eigenvalues(S), np.tile(_reduced_eigenvalues(D), p - 1)])
+    vals = _deflated_eigenvalues(M, whole) if M.shape[0] >= _DEFLATE_MIN_ORDER else None
+    return np.linalg.eigvalsh(M) if vals is None else vals
+
+
+def _block_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(B + (p - 1)C, B - C, p) when M = I_p (x) B + (J_p - I_p) (x) C in one
+    of two layouts, else None.
+
+    Then spec M is spec(B + (p - 1)C) and p - 1 copies of spec(B - C): the
+    vectors f (x) x with f constant give the first part, f summing to zero
+    the second (for p = 2 the centrosymmetric split; Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  Integer entries keep B +- C exact.
+    For each divisor p > 1 of the order n, largest first, block (a, b) is
+    M[a*m:(a+1)*m, b*m:(b+1)*m] with m = n / p (contiguous, as in a cover)
+    or M[a::p, b::p] (interleaved, as in G (x) K_2 and G x K_p).  Row 0 of
+    blocks 0 and 1 is probed before every block is compared with
+    B = block (0, 0) or C = block (0, 1).
+    """
+    n = M.shape[0]
+    divisors = {d for q in range(1, math.isqrt(n) + 1) if n % q == 0 for d in (q, n // q)}
+    for p in sorted(divisors - {1}, reverse=True):
+        m = n // p
+        layouts = [M.reshape(p, m, p, m), M.reshape(m, p, m, p).transpose(1, 0, 3, 2)]
+        for X in layouts[:1 + (m > 1)]:
+            # row 0 of block 1 is row 0 of block 0 with its first two blocks swapped
+            r0 = X[0, 0]
+            if not (np.array_equal(X[1, 0], r0[np.r_[1, 0, 2:p]]) and (r0[2:] == r0[1]).all()):
+                continue
+            B, C = X[0, :, 0], X[0, :, 1]
+            # few large blocks are compared one at a time, many small ones a block row at once
+            if all(all(np.array_equal(X[a, :, b], B if a == b else C) for b in range(p)) if p <= 8
+                   else np.array_equal(X[a, :, a], B) and (np.delete(X[a], a, axis=1) == C[:, None]).all()
+                   for a in range(p)):
+                return B + (p - 1) * C, B - C, p
+    return None
+
+
+def _deflated_eigenvalues(M: np.ndarray, matrix_of_form: bool = True) -> np.ndarray | None:
+    """The spectrum of M from its twin classes, unsorted, or None to solve
+    M densely.
 
     Indices u and r are twins when swapping them leaves M unchanged.  A
     class C of s twins then holds the block (a - b) I + b J, with a its
@@ -161,11 +206,22 @@ def _deflated_eigenvalues(M: np.ndarray) -> list[float] | None:
     The classes come from the pattern P = (M != 0) with a zero diagonal:
     false twins share a row of P, true twins a row of P + I.  In a
     `matrix_of` matrix such pattern twins are twins of M, as `eigenvalues`
-    sets out.  Returns None when the quotient would keep more than
-    `_QUOTIENT_MAX_SHARE` of the order.
+    sets out.  A block split's part is not one (B + (p - 1)C holds 2 or p
+    where both blocks have an edge), so there a member stays in its class
+    only if its diagonal and its row outside the two indices are its
+    representative's; then every pair of the class is twins.  Returns None
+    when the quotient would keep more than `_QUOTIENT_MAX_SHARE` of n.
     """
     n = M.shape[0]
     label, reps, sizes = _twin_classes(M)
+    if not matrix_of_form and reps.size <= _QUOTIENT_MAX_SHARE * n:
+        members = np.flatnonzero(reps[label] != np.arange(n))
+        r = reps[label[members]]
+        same = M[members] == M[r]
+        same[np.arange(members.size), members] = same[np.arange(members.size), r] = True
+        apart = ~same.all(axis=1) | (np.diagonal(M)[members] != np.diagonal(M)[r])
+        label[members[apart]] = reps.size + np.arange(np.count_nonzero(apart))
+        _, reps, label, sizes = np.unique(label, return_index=True, return_inverse=True, return_counts=True)
     c = reps.size
     if c > _QUOTIENT_MAX_SHARE * n:
         return None
@@ -179,9 +235,7 @@ def _deflated_eigenvalues(M: np.ndarray) -> list[float] | None:
     R *= root[:, None]
     R *= root
     R.flat[::c + 1] = a + (sizes - 1) * b
-    vals = np.concatenate([np.linalg.eigvalsh(R), np.repeat(a - b, sizes - 1)])
-    vals.sort()
-    return vals.tolist()
+    return np.concatenate([np.linalg.eigvalsh(R), np.repeat(a - b, sizes - 1)])
 
 
 def _twin_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -248,6 +248,26 @@ class TestEnergyIdentities:
         assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
         assert abs(r.computed[0] - 12.0) <= 1e-7 and abs(r.computed[1] - 8.0) <= 1e-7
 
+    def test_bipartite_cover_vs_double_eigenvalue_floor(self):
+        """P_4's eigenvalues +-0.618 and +-1.618 fall below |lambda| >= 1, and
+        its energies (10.47 against 8.94) differ; C_6's are 1 and 2."""
+        r = run_check("2.9", path(4))
+        assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
+        assert r.hypotheses == {"bipartite": True, "abs_eigs_at_least_1": False}
+        r = run_check("2.9", cycle(6))
+        assert r.verdict == VERDICT_CONFIRMED
+        assert r.hypotheses == {"bipartite": True, "abs_eigs_at_least_1": True}
+
+    def test_cover_square_nonzero_eigenvalue_floor(self):
+        """K_{1,3}'s nonzero eigenvalues +-sqrt(3) fall below 2, and its
+        energies (21.86 against 22.93) differ; K_{2,2}'s are +-2."""
+        r = run_check("2.8", complete_bipartite(1, 3))
+        assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
+        assert r.hypotheses == {"nonzero_eigs_at_least_2": False}
+        r = run_check("2.8", complete_bipartite(2, 2))
+        assert r.verdict == VERDICT_CONFIRMED
+        assert r.hypotheses == {"nonzero_eigs_at_least_2": True}
+
     def test_cover_energy_formula(self):
         r = run_check("2.edc-energy", complete(3))
         assert r.verdict == VERDICT_CONFIRMED and abs(r.computed[0] - 6.0) <= 1e-7

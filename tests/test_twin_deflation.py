@@ -7,7 +7,8 @@ solve on graphs with planted twins and on the paper's composites (joins
 with an empty graph, k-folds, K_a joined with a graph); hold the form it
 relies on (a pattern twin swaps with its representative without changing
 the matrix, and max |M| is on the diagonal or 1); and bound the memory and
-the shapes of the solves it makes.
+the shapes of the solves it makes.  Block splitting, which runs before it,
+is tested in `test_block_split.py`.
 """
 
 import tracemalloc
@@ -174,6 +175,23 @@ class TestMemoryAndSolveShapes:
         assert shapes == [(200, 200)]
         assert np.abs(np.array(vals) - np.linalg.eigvalsh(M)).max() <= 1e-12 * M.shape[0]
 
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_unequal_twin_classes_solve_a_quotient(self, kind, monkeypatch):
+        """Classes of uneven sizes, true and false twins mixed: no block
+        split, so the twins are deflated, and the true twins' eigenvalue
+        a - b differs from a + b."""
+        G = blow_up(np.random.default_rng(23), 600, 3.0, 0, 0.1)
+        M = matrix_of(G, kind)
+        assert spectra._block_split(M) is None
+        label, reps, sizes = spectra._twin_classes(M)
+        true_twins = [c for c in np.flatnonzero(sizes > 1).tolist()
+                      if M[reps[c], np.flatnonzero(label == c)[1]] != 0]
+        assert true_twins and reps.size <= spectra._QUOTIENT_MAX_SHARE * G.n
+        shapes = eigvalsh_shapes(monkeypatch)
+        vals = eigenvalues(M).values
+        assert shapes == [(reps.size, reps.size)]
+        assert np.abs(np.array(vals) - dense(M)).max() <= 1e-12 * G.n * max(1.0, np.abs(M).max())
+
     def test_peak_memory_on_the_43_composite(self, monkeypatch):
         M = matrix_of(join(extended_double_cover(self.BASE), empty(1920)), "laplacian")
         shapes = eigvalsh_shapes(monkeypatch)
@@ -194,8 +212,10 @@ class TestMemoryAndSolveShapes:
         assert code == 0
         assert shapes == [(129, 129)]
 
-    def test_verify_32_on_a_graph_with_few_twins_solves_the_full_cover(self, tmp_path, monkeypatch,
-                                                                      capsys):
+    def test_verify_32_on_a_graph_with_few_twins_solves_the_cover_in_halves(self, tmp_path, monkeypatch,
+                                                                           capsys):
+        """No twin quotient is built: the cover splits into two halves of
+        order 512, and L(G) and Q(G) of the prediction are solved whole."""
         G = connected_base(4302, 512, 1024)
         _, reps, _ = spectra._twin_classes(matrix_of(G, "laplacian"))
         assert G.n - 16 < reps.size < G.n  # a few leaf twins, far from the gate
@@ -203,5 +223,4 @@ class TestMemoryAndSolveShapes:
         shapes = eigvalsh_shapes(monkeypatch)
         assert main(["verify", "--in", str(tmp_path / "g.el"), "--theorem", "3.2"]) == 0
         capsys.readouterr()
-        assert shapes.count((1024, 1024)) == 1
-        assert all(s in ((512, 512), (1024, 1024)) for s in shapes)
+        assert shapes == [(512, 512)] * 4
