@@ -17,10 +17,13 @@ reduces the matrix first (gates measured with `tools/bench_eigensolve.py`;
 below 512 the values stay exactly LAPACK's).  A block-symmetric matrix
 I_p (x) B + (J_p - I_p) (x) C is solved as B + (p - 1)C and p - 1 copies of
 B - C, each part split again: the paper's covers, G (x) K_2, k-folds and
-G x K_p all split.  Self-comparison: the split of the cover's Laplacian is
-exactly L(G) and Q(G) + 2I, the proof of Theorem 3.2, so from order 512 up
-`verify 3.2` makes nearly the predictor's LAPACK calls; it still tests the
-construction, since a wrong block fails the exact equality.  The exact
+G x K_p all split.  A part that is +-Y + beta*I of a part Y solved earlier
+in the same call (A + I and -(A + I) for A(G*), L(G) + 2rI and Q(G) + 2rI
+for an iterated cover) takes Y's values, flipped and shifted; no solve is
+shared between calls.  Self-comparison: the split of the cover's Laplacian
+is exactly L(G) and Q(G) + 2I, the proof of Theorem 3.2, so from order 512
+up `verify 3.2` makes nearly the predictor's LAPACK calls; it still tests
+the construction, since a wrong block fails the exact equality.  The exact
 determinants never use the split.  What does not split deflates its twins:
 swapping two indices with identical rows of the nonzero pattern is a graph
 automorphism, so LAPACK solves only the quotient over the twin classes,
@@ -124,7 +127,7 @@ def eigenvalues(M: np.ndarray) -> Spectrum:
     """
     n = M.shape[0]
     if n >= _DEFLATE_MIN_ORDER:
-        vals = np.sort(_reduced_eigenvalues(M, whole=True)).tolist()
+        vals = np.sort(_reduced_eigenvalues(M)).tolist()
     else:
         vals = np.linalg.eigvalsh(M).tolist() if n else []
     tol = 1e-8 * max(1.0, float(np.diagonal(M).max())) if n else 1e-8
@@ -141,19 +144,47 @@ _DEFLATE_MIN_ORDER = 512
 _QUOTIENT_MAX_SHARE = 0.75
 
 
-def _reduced_eigenvalues(M: np.ndarray, whole: bool = False) -> np.ndarray:
+def _reduced_eigenvalues(M: np.ndarray, solved: list[tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
     """Every eigenvalue of the symmetric M, unsorted.  A part with no
-    off-diagonal entry gives its diagonal; else the block split comes first,
-    and what splits no further is deflated by its twins from order 512 up,
-    then solved by LAPACK."""
-    if not whole and np.count_nonzero(M) == np.count_nonzero(np.diagonal(M)):
+    off-diagonal entry gives its diagonal, and one that is s*Y + beta*I of a
+    part Y in `solved` (the parts reduced so far in this top-level call,
+    with their values) gives s * spec Y + beta.  Else the block split comes
+    first, and what splits no further is deflated by its twins from order
+    512 up, then solved by LAPACK."""
+    whole = solved is None
+    if whole:
+        solved = []
+    elif np.count_nonzero(M) == np.count_nonzero(np.diagonal(M)):
         return np.diagonal(M).copy()
+    for Y, vals in solved:
+        shift = _shift_of(M, Y) if Y.shape == M.shape else None
+        if shift is not None:
+            return shift[0] * vals + shift[1]
     split = _block_split(M)
     if split is not None:
         S, D, p = split
-        return np.concatenate([_reduced_eigenvalues(S), np.tile(_reduced_eigenvalues(D), p - 1)])
-    vals = _deflated_eigenvalues(M, whole) if M.shape[0] >= _DEFLATE_MIN_ORDER else None
-    return np.linalg.eigvalsh(M) if vals is None else vals
+        vals = np.concatenate([_reduced_eigenvalues(S, solved), np.tile(_reduced_eigenvalues(D, solved), p - 1)])
+    else:
+        vals = _deflated_eigenvalues(M, whole) if M.shape[0] >= _DEFLATE_MIN_ORDER else None
+        vals = np.linalg.eigvalsh(M) if vals is None else vals
+    solved.append((M, vals))
+    return vals
+
+
+def _shift_of(M: np.ndarray, Y: np.ndarray) -> tuple[int, float] | None:
+    """(s, beta) with M = s*Y + beta*I exactly and s = +-1, else None, for
+    M and Y of one order.  The cheap tests come first: a constant shift
+    along the diagonal, then row 0 off the diagonal, and only then every
+    off-diagonal entry."""
+    dM, dY = np.diagonal(M), np.diagonal(Y)
+    for s in (1, -1):
+        beta = dM[0] - s * dY[0]
+        if (dM - s * dY == beta).all() and (M[0, 1:] == s * Y[0, 1:]).all():
+            same = M == s * Y
+            same.flat[::M.shape[0] + 1] = True
+            if same.all():
+                return s, beta
+    return None
 
 
 def _block_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -167,8 +198,8 @@ def _block_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     For each divisor p > 1 of the order n, largest first, block (a, b) is
     M[a*m:(a+1)*m, b*m:(b+1)*m] with m = n / p (contiguous, as in a cover)
     or M[a::p, b::p] (interleaved, as in G (x) K_2 and G x K_p).  Row 0 of
-    blocks 0 and 1 is probed before every block is compared with
-    B = block (0, 0) or C = block (0, 1).
+    block rows 0 and 1 is probed by slice comparisons before every block
+    but B = block (0, 0) and C = block (0, 1) is compared with B or C.
     """
     n = M.shape[0]
     divisors = {d for q in range(1, math.isqrt(n) + 1) if n % q == 0 for d in (q, n // q)}
@@ -176,15 +207,15 @@ def _block_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
         m = n // p
         layouts = [M.reshape(p, m, p, m), M.reshape(m, p, m, p).transpose(1, 0, 3, 2)]
         for X in layouts[:1 + (m > 1)]:
-            # row 0 of block 1 is row 0 of block 0 with its first two blocks swapped
-            r0 = X[0, 0]
-            if not (np.array_equal(X[1, 0], r0[np.r_[1, 0, 2:p]]) and (r0[2:] == r0[1]).all()):
+            # row 0 of block row 1 is row 0 of block row 0 with its first two blocks swapped
+            r0, r1 = X[0, 0], X[1, 0]
+            if not ((r1[1] == r0[0]).all() and (r1[0] == r0[1]).all()
+                    and (r0[2:] == r0[1]).all() and (r1[2:] == r0[1]).all()):
                 continue
             B, C = X[0, :, 0], X[0, :, 1]
-            # few large blocks are compared one at a time, many small ones a block row at once
-            if all(all(np.array_equal(X[a, :, b], B if a == b else C) for b in range(p)) if p <= 8
-                   else np.array_equal(X[a, :, a], B) and (np.delete(X[a], a, axis=1) == C[:, None]).all()
-                   for a in range(p)):
+            if (X[0, :, 2:] == C[:, None]).all() and all(
+                    (X[a, :, a] == B).all() and (X[a, :, :a] == C[:, None]).all()
+                    and (X[a, :, a + 1:] == C[:, None]).all() for a in range(1, p)):
                 return B + (p - 1) * C, B - C, p
     return None
 

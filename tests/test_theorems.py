@@ -628,6 +628,63 @@ class TestCartesianFamily:
         assert not r.hypotheses["p_large_enough"]
 
 
+def only_false(hypotheses: dict, name: str) -> bool:
+    return [k for k, v in hypotheses.items() if not v] == [name]
+
+
+class TestHypothesisBoundaries:
+    """Each threshold between an input just inside it, which confirms, and
+    one just outside, which fails that hypothesis alone: a weakened
+    threshold would report the outside input met."""
+
+    HOUSE = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)])  # a square with a roof
+    DART = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+
+    def test_410_q_floor(self):
+        """Both graphs are non-bipartite with n = 5 and m = 6, so the floor
+        2m/n - 2 is 0.4.  The house's least signless Laplacian eigenvalue is
+        (3 - sqrt 5)/2 = 0.382, below it by 0.018 and above 2m/n - 3; the
+        dart's is 0.511."""
+        r = family_cartesian(self.DART, self.DART, p=7)
+        assert r.verdict == VERDICT_CONFIRMED and r.hypotheses_met
+        r = family_cartesian(self.HOUSE, self.HOUSE, p=7)
+        assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
+        assert only_false(r.hypotheses, "q_spectrum_floor")
+        r = family_cartesian(self.DART, self.HOUSE, p=7)
+        assert only_false(r.hypotheses, "q_spectrum_floor")
+
+    def test_thm48_edge_bound(self):
+        """n = 4 and k = 4 bound 16 m2 by 4n(k - 2) + k^2 = 48: m2 = 3 meets
+        it with equality, m2 = 4 exceeds it and stays within 4n(k - 1) + k^2."""
+        r = family_mixed("thm48", Graph(4, [(0, 1), (2, 3)]), path(4), p=20, k=4)
+        assert r.verdict == VERDICT_CONFIRMED and r.hypotheses_met
+        r = family_mixed("thm48", path(4), cycle(4), p=20, k=4)
+        assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
+        assert only_false(r.hypotheses, "edges_small_enough")
+
+    def test_thm49_edge_bound(self):
+        """n = 8 and k = 4 bound 8 m2 by k(4n + k) - 8n = 80: m2 = 10 meets it
+        with equality, m2 = 12 exceeds it and stays within k(4n + k).  G1 is
+        a path on 6 or 7 of the 8 vertices, so m2 = 2 m1; G2 is C_8 with 2
+        or 4 long chords."""
+        chords = [(0, 4), (1, 5), (2, 6), (3, 7)]
+        inside = family_mixed("thm49", Graph(8, path(6).edges), Graph(8, cycle(8).edges | set(chords[:2])), p=36, k=4)
+        assert inside.verdict == VERDICT_CONFIRMED and inside.hypotheses_met
+        outside = family_mixed("thm49", Graph(8, path(7).edges), Graph(8, cycle(8).edges | set(chords)), p=36, k=4)
+        assert outside.verdict == VERDICT_HYPOTHESIS_NOT_MET
+        assert only_false(outside.hypotheses, "edges_small_enough")
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_kfold_family_slack(self, k):
+        """K_2 meets every other hypothesis of 4.6 (k = 2) and 4.7 (k = 3)
+        with slack t = 2k - 1, which alone falls short of 2k."""
+        _, r = family_join_kfold(complete(2), p=4 * k, k=k, t=2 * k)
+        assert r.verdict == VERDICT_CONFIRMED and r.hypotheses_met
+        _, r = family_join_kfold(complete(2), p=4 * k, k=k, t=2 * k - 1)
+        assert r.verdict == VERDICT_HYPOTHESIS_NOT_MET
+        assert only_false(r.hypotheses, "slack_at_least_2k")
+
+
 class TestDeterminism:
     def test_reports_serialize_identically(self):
         spec1, r1 = family_join_edc(complete(3), p=9, t=1, k=3)

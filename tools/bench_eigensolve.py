@@ -16,11 +16,14 @@ Two series:
   keeps more than 3/4 of the order (why such a quotient is not built).
 
 Each row gives the orders LAPACK solves inside one `eigenvalues` call
-(`parts`), and the times of `eigenvalues`, the dense solve, the block
-probe and split (`split_ms`) and twin detection on the whole matrix
-(`detect_ms`).  Each time is the median of --repeat calls on one matrix
-(at most 3 from order 4096 up), interleaved with the other calls timed on
-it.  The result goes to --out as JSON (default BENCH_eigensolve.json),
+(`parts`) and their number (`lapack_solves`: a part that is +-Y + beta*I
+of a part already solved costs none), and the times of `eigenvalues`, the
+dense solve, the block probe and split (`split_ms`), twin detection on the
+whole matrix (`detect_ms`) and the block probe of a random m = 2n
+Laplacian of the same order (`probe_ms`), which splits into no blocks:
+what every matrix of that order pays to be told so.  Each time is the
+median of --repeat calls on one matrix (at most 3 from order 4096 up),
+interleaved with the other calls timed on it.  The result goes to --out as JSON (default BENCH_eigensolve.json),
 with the host's numpy and CPU count.  Needs numpy and equigraph only:
 
     PYTHONPATH=src python tools/bench_eigensolve.py
@@ -144,20 +147,31 @@ def solved_orders(M: np.ndarray) -> list[int]:
     return sorted(orders, reverse=True)
 
 
+def unsplit(n: int) -> np.ndarray:
+    """The Laplacian of 2n random vertex pairs (loops and repeats dropped)
+    on n vertices: no block layout, so the probe rejects every candidate."""
+    pairs = np.random.default_rng(n).integers(0, n, (2 * n, 2))
+    return matrix_of(Graph(n, {(min(u, v), max(u, v)) for u, v in pairs.tolist() if u != v}), "laplacian")
+
+
 def row(name: str, G: Graph, kind: str, repeat: int) -> dict:
     M = matrix_of(G, kind)
+    U = unsplit(G.n)
+    assert spectra._block_split(U) is None
     classes = spectra._twin_classes(M)[1].size
     fns = {
         "eigenvalues_ms": lambda: eigenvalues(M),
         "dense_ms": lambda: np.linalg.eigvalsh(M),
         "split_ms": lambda: spectra._block_split(M),
         "detect_ms": lambda: spectra._twin_classes(M),
+        "probe_ms": lambda: spectra._block_split(U),
     }
     if classes > spectra._QUOTIENT_MAX_SHARE * G.n and spectra._block_split(M) is None:
         # what the class-count gate saves
         fns["forced_quotient_ms"] = lambda: forced_quotient(M)
-    return {"case": name, "kind": kind, "n": G.n, "classes": int(classes), "parts": solved_orders(M),
-            **median_ms(fns, repeat if G.n < 4096 else min(repeat, 3))}
+    parts = solved_orders(M)
+    return {"case": name, "kind": kind, "n": G.n, "classes": int(classes), "parts": parts,
+            "lapack_solves": len(parts), **median_ms(fns, repeat if G.n < 4096 else min(repeat, 3))}
 
 
 def main() -> None:
@@ -186,8 +200,8 @@ def main() -> None:
         extra = f"  forced quotient {r['forced_quotient_ms']:8.2f}" if "forced_quotient_ms" in r else ""
         parts = f"{len(r['parts'])} x <={r['parts'][0]}" if r["parts"] else "none"
         print(f"{r['case']:26s} n={r['n']:5d} c={r['classes']:5d}  eigenvalues {r['eigenvalues_ms']:8.2f}"
-              f"  dense {r['dense_ms']:8.2f}  split {r['split_ms']:6.2f}  detect {r['detect_ms']:6.2f} ms"
-              f"  parts {parts}{extra}")
+              f"  dense {r['dense_ms']:8.2f}  split {r['split_ms']:6.2f}  detect {r['detect_ms']:6.2f}"
+              f"  probe {r['probe_ms']:5.2f} ms  parts {parts}{extra}")
 
 
 if __name__ == "__main__":
