@@ -35,9 +35,9 @@ def format_float(x: float) -> str:
     return format(x, ".12g")
 
 
-def canonical_json(value, indent: int = 0) -> str:
+def canonical_json(value) -> str:
     """Deterministic JSON rendering; dict keys sorted, floats via format_float."""
-    return _render(value, "  " * indent)
+    return _render(value, "")
 
 
 def _render(value, pad: str) -> str:

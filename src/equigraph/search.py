@@ -135,11 +135,6 @@ def _triangle_counts(A: np.ndarray) -> np.ndarray:
     return closed // 6
 
 
-def triangle_count(G: Graph) -> int:
-    """trace(A^3) / 6, in floats: exact while n^3 < 2^53."""
-    return int(_triangle_counts(G.adjacency))
-
-
 def find_regular_graph_with_l_spectrum(n: int, r: int, target: Spectrum,
                                        eps: float = 1e-6,
                                        stop_at_first: bool = True) -> SearchResult:

@@ -24,12 +24,13 @@ shared between calls.  Self-comparison: the split of the cover's Laplacian
 is exactly L(G) and Q(G) + 2I, the proof of Theorem 3.2, so from order 512
 up `verify 3.2` makes nearly the predictor's LAPACK calls; it still tests
 the construction, since a wrong block fails the exact equality.  The exact
-determinants never use the split.  What does not split deflates its twins:
-swapping two indices with identical rows of the nonzero pattern is a graph
-automorphism, so LAPACK solves only the quotient over the twin classes,
-when it keeps at most 3/4 of the order (129 classes and about 8 ms, against
-565 ms dense, for the order-2048 join of family 4.3).  Every spectrum still
-holds all n values.
+determinants never use the split.  What does not split deflates its false
+twins: swapping two non-adjacent indices with identical rows of the nonzero
+pattern is a graph automorphism, so LAPACK solves only the quotient over
+the twin classes, when it keeps at most 3/4 of the order (129 classes and
+about 7 ms, against 544 ms dense, for the order-2048 join of family 4.3).
+The paper's constructions make only false twins, and true twins are left
+to the split or the dense solve.  Every spectrum still holds all n values.
 """
 
 from __future__ import annotations
@@ -117,9 +118,9 @@ def eigenvalues(M: np.ndarray) -> Spectrum:
     From order 512 (`_DEFLATE_MIN_ORDER`) up, M is first reduced
     (`_reduced_eigenvalues`): split into the blocks of a block-symmetric
     layout (`_block_split`), and, when it splits no further, deflated by
-    its twins (`_deflated_eigenvalues`).  Below 512 the values are exactly
-    those of `np.linalg.eigvalsh(M)`.  Either way all n values come back,
-    ascending, converted to Python floats in one `tolist` and not
+    its false twins (`_deflated_eigenvalues`).  Below 512 the values are
+    exactly those of `np.linalg.eigvalsh(M)`.  Either way all n values come
+    back, ascending, converted to Python floats in one `tolist` and not
     re-checked.  The attached tolerance is 1e-8 * max |M|, so later
     multiset comparisons default to something sensible; by the form of M
     that is 1e-8 * max(1, largest diagonal entry), read from the diagonal
@@ -135,8 +136,8 @@ def eigenvalues(M: np.ndarray) -> Spectrum:
 
 
 # Blocks and twins are reduced from this order up.  Twin detection is a
-# larger share of a small solve (about 0.5 ms next to 4 ms at 256, 1 ms
-# next to 16 ms at 512), and below it every spectrum stays exactly LAPACK's.
+# larger share of a small solve (about 0.3 ms next to 4 ms at 256, 0.7 ms
+# next to 17 ms at 512), and below it every spectrum stays exactly LAPACK's.
 _DEFLATE_MIN_ORDER = 512
 # The quotient is solved only when it keeps at most this share of the order
 # (4c <= 3n).  On random graphs with a few leaf twins (c near n) it took as
@@ -149,8 +150,8 @@ def _reduced_eigenvalues(M: np.ndarray, solved: list[tuple[np.ndarray, np.ndarra
     off-diagonal entry gives its diagonal, and one that is s*Y + beta*I of a
     part Y in `solved` (the parts reduced so far in this top-level call,
     with their values) gives s * spec Y + beta.  Else the block split comes
-    first, and what splits no further is deflated by its twins from order
-    512 up, then solved by LAPACK."""
+    first, and what splits no further is deflated by its false twins from
+    order 512 up, then solved by LAPACK."""
     whole = solved is None
     if whole:
         solved = []
@@ -221,27 +222,27 @@ def _block_split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
 
 
 def _deflated_eigenvalues(M: np.ndarray, matrix_of_form: bool = True) -> np.ndarray | None:
-    """The spectrum of M from its twin classes, unsorted, or None to solve
-    M densely.
+    """The spectrum of M from its false-twin classes, unsorted, or None to
+    solve M densely.
 
-    Indices u and r are twins when swapping them leaves M unchanged.  A
-    class C of s twins then holds the block (a - b) I + b J, with a its
-    diagonal value and b its off-diagonal value, and every vector on C that
-    sums to zero is an eigenvector for a - b, s - 1 of them.  The rest of
-    the spectrum belongs to the vectors constant on each class, an
-    equitable partition (Godsil & Royle, Algebraic Graph Theory, 2001,
-    ch. 9).  Its c x c quotient, symmetrized by sqrt(s), is
-    R[c, c'] = M[r_c, r_c'] * sqrt(s_c * s_c') off the diagonal and
-    R[c, c] = a_c + (s_c - 1) * b_c on it, for representatives r_c.
+    Indices u and r are false twins when M[u, r] = 0 and swapping them
+    leaves M unchanged.  A class of s false twins with diagonal value a
+    then holds the block aI, and every vector on the class that sums to
+    zero is an eigenvector for a, s - 1 of them.  The rest of the spectrum
+    belongs to the vectors constant on each class, an equitable partition
+    (Godsil & Royle, Algebraic Graph Theory, 2001, ch. 9).  Its c x c
+    quotient, symmetrized by sqrt(s), is R[c, c'] = M[r_c, r_c'] *
+    sqrt(s_c * s_c') off the diagonal and R[c, c] = a_c on it, for
+    representatives r_c.
 
-    The classes come from the pattern P = (M != 0) with a zero diagonal:
-    false twins share a row of P, true twins a row of P + I.  In a
-    `matrix_of` matrix such pattern twins are twins of M, as `eigenvalues`
-    sets out.  A block split's part is not one (B + (p - 1)C holds 2 or p
-    where both blocks have an edge), so there a member stays in its class
-    only if its diagonal and its row outside the two indices are its
-    representative's; then every pair of the class is twins.  Returns None
-    when the quotient would keep more than `_QUOTIENT_MAX_SHARE` of n.
+    The classes are the equal rows of the pattern P = (M != 0) with a zero
+    diagonal (`_twin_classes`).  In a `matrix_of` matrix such pattern twins
+    are twins of M, as `eigenvalues` sets out.  A block split's part is not
+    one (B + (p - 1)C holds 2 or p where both blocks have an edge), so
+    there a member stays in its class only if its diagonal and its row
+    outside the two indices are its representative's; then every pair of
+    the class is twins.  Returns None when the quotient would keep more
+    than `_QUOTIENT_MAX_SHARE` of n.
     """
     n = M.shape[0]
     label, reps, sizes = _twin_classes(M)
@@ -256,40 +257,32 @@ def _deflated_eigenvalues(M: np.ndarray, matrix_of_form: bool = True) -> np.ndar
     c = reps.size
     if c > _QUOTIENT_MAX_SHARE * n:
         return None
-    members = np.flatnonzero(reps[label] != np.arange(n))
-    cls = label[members]
-    b = np.zeros(c)
-    b[cls] = M[reps[cls], members]
     a = np.diagonal(M)[reps]
     root = np.sqrt(sizes)
     R = M[np.ix_(reps, reps)]
     R *= root[:, None]
     R *= root
-    R.flat[::c + 1] = a + (sizes - 1) * b
-    return np.concatenate([np.linalg.eigvalsh(R), np.repeat(a - b, sizes - 1)])
+    R.flat[::c + 1] = a
+    return np.concatenate([np.linalg.eigvalsh(R), np.repeat(a, sizes - 1)])
 
 
 def _twin_classes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate twin classes of M's pattern: each index's class, each
+    """Candidate false-twin classes of M's pattern: each index's class, each
     class's representative (its first index) and each class's size.
 
-    Rows are grouped by one `np.unique` over their packed bits viewed as
-    single void items, which is far faster than `np.unique(..., axis=0)`.
-    An index v of a graph never has both a false twin u and a true twin
-    w: w neighbours v, hence u, which would put u among v's neighbours.
-    The false grouping runs last, so its classes would win.
+    The rows of M != 0 with the diagonal cleared are grouped by one
+    `np.unique` over their packed bits viewed as single void items, which
+    is far faster than `np.unique(..., axis=0)`.  True twins, adjacent with
+    equal closed neighbourhoods, are left apart: every construction of the
+    paper that reaches this deflation makes false twins (the two copies of
+    a vertex in D[G], the empty join partner of 4.3-4.9), and K_n and
+    complete multipartite graphs split into blocks first.
     """
-    n = M.shape[0]
     P = M != 0
-    key = np.arange(2 * n, 3 * n)  # singletons
-    for diagonal, offset in ((True, n), (False, 0)):
-        P.flat[::n + 1] = diagonal
-        rows = np.packbits(P, axis=1)
-        _, group, counts = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
-                                     return_inverse=True, return_counts=True)
-        twin = counts[group] > 1
-        key[twin] = offset + group[twin]
-    _, reps, label, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    P.flat[::M.shape[0] + 1] = False
+    rows = np.packbits(P, axis=1)
+    _, reps, label, sizes = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                                      return_index=True, return_inverse=True, return_counts=True)
     return label, reps, sizes
 
 

@@ -43,6 +43,7 @@ from equigraph.spectra import (
     Spectrum,
     energy,
     laplacian_energy,
+    matrix_of,
     spectra_equal,
     spectrum_of,
 )
@@ -68,7 +69,7 @@ from equigraph.theorems import (
     smallest_feasible_edc_join_slack,
     smallest_feasible_kfold_join_slack,
 )
-from equigraph import spectra
+from equigraph import spectra, theorems
 from equigraph.reports import canonical_json
 
 from conftest import (
@@ -76,6 +77,7 @@ from conftest import (
     random_graph,
     random_nonbipartite_graph,
 )
+from test_twin_deflation import connected_base
 
 SQRT2 = math.sqrt(2.0)
 
@@ -338,6 +340,59 @@ class TestCospectralityChecks:
             N = random_nonbipartite_graph(rng, int(rng.integers(3, 8)))
             r = run_check("3.6", N)
             assert r.computed == (0.0,) and r.verdict == VERDICT_CONFIRMED
+
+
+def edc_l_mutant(q_kind: str = "signless_laplacian", shift: float = 2.0):
+    """Theorem 3.2's predictor {mu_i} u {q_i + 2} with the q_i taken from
+    another matrix kind or shifted by another amount."""
+    def predict(G):
+        mu = spectrum_of(G, "laplacian").values
+        return Spectrum(tuple(mu) + tuple(v + shift for v in spectrum_of(G, q_kind).values))
+    return predict
+
+
+class TestPredictorMutants:
+    """A spectrum check with a wrong predictor must report a deviation on
+    some input; the paper's predictors confirm on the same inputs."""
+
+    BASE_512 = connected_base(4306, 512, 1024)
+
+    @pytest.mark.parametrize("G", [complete(3), BASE_512], ids=["K3", "connected-512"])
+    def test_32_with_q_plus_1_deviates(self, G):
+        if G.n >= spectra._DEFLATE_MIN_ORDER:  # the direct side solves the split cover's halves
+            assert spectra._block_split(matrix_of(extended_double_cover(G), "laplacian")) is not None
+        mutant = theorems._spectrum_check("3.2", "laplacian", extended_double_cover, edc_l_mutant(shift=1.0))
+        assert mutant(G).verdict == VERDICT_DEVIATION
+        assert run_check("3.2", G).verdict == VERDICT_CONFIRMED
+
+    @pytest.mark.parametrize("G, verdict", [(complete(3), VERDICT_DEVIATION),
+                                            (cycle(5), VERDICT_DEVIATION),
+                                            (path(4), VERDICT_CONFIRMED),
+                                            (complete_bipartite(2, 3), VERDICT_CONFIRMED)])
+    def test_32_with_mu_for_q_dies_only_on_a_non_bipartite_base(self, G, verdict):
+        """L(G) and Q(G) are cospectral exactly for bipartite G, so only a
+        non-bipartite input tells mu from q."""
+        mutant = theorems._spectrum_check("3.2", "laplacian", extended_double_cover, edc_l_mutant("laplacian"))
+        assert mutant(G).verdict == verdict
+        assert run_check("3.2", G).verdict == VERDICT_CONFIRMED
+
+    @pytest.mark.parametrize("G, k", [(complete(3), 2), (path(4), 3)])
+    def test_33_with_a_multiplicity_off_by_one_deviates(self, G, k, monkeypatch):
+        def off_by_one(G, k):
+            """One copy more of each mu_i + 2(k - 1) and one fewer of each
+            q_i + 2k, so the count stays 2^k n."""
+            mu = spectrum_of(G, "laplacian").values
+            q = spectrum_of(G, "signless_laplacian").values
+            out = [v + 2.0 * r for r in range(k) for v in mu for _ in range(math.comb(k - 1, r) + (r == k - 1))]
+            out += [v + 2.0 * r for r in range(1, k + 1) for v in q
+                    for _ in range(math.comb(k - 1, r - 1) - (r == k))]
+            return Spectrum(tuple(out))
+
+        assert run_check("3.3", G, k=k).verdict == VERDICT_CONFIRMED
+        monkeypatch.setattr(theorems, "predict_iterated_edc_l_spectrum", off_by_one)
+        report = run_check("3.3", G, k=k)
+        assert len(report.predicted) == len(report.computed) == 2 ** k * G.n
+        assert report.verdict == VERDICT_DEVIATION
 
 
 class TestTreesAndIntegrality:

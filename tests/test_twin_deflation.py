@@ -1,11 +1,12 @@
 """Twin deflation inside `spectra.eigenvalues`.
 
-From order 512 up, `eigenvalues` groups interchangeable indices (twins)
-by the nonzero pattern of a `matrix_of` matrix and solves the quotient over
-the classes in place of the full matrix.  These tests hold it to the dense
-solve on graphs with planted twins and on the paper's composites (joins
-with an empty graph, k-folds, K_a joined with a graph); hold the form it
-relies on (a pattern twin swaps with its representative without changing
+From order 512 up, `eigenvalues` groups interchangeable non-adjacent
+indices (false twins) by the nonzero pattern of a `matrix_of` matrix and
+solves the quotient over the classes in place of the full matrix.  These
+tests hold it to the dense solve on graphs with planted twins, on the
+paper's composites (joins with an empty graph, k-folds) and on K_a joined
+with a graph, whose true twins are left to the dense solve; hold the form
+it relies on (a pattern twin swaps with its representative without changing
 the matrix, and max |M| is on the diagonal or 1); and bound the memory and
 the shapes of the solves it makes.  Block splitting, which runs before it,
 is tested in `test_block_split.py`.
@@ -39,11 +40,13 @@ def random_base(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return A | A.T
 
 
-def blow_up(rng: np.random.Generator, order: int, mean_size: float, isolated: int, p: float) -> Graph:
+def blow_up(rng: np.random.Generator, order: int, mean_size: float, isolated: int, p: float,
+            clique_share: float = 0.5) -> Graph:
     """A random base graph with each vertex replaced by a class of twins:
-    false twins (independent) or true twins (a clique) at random, joined
-    to the classes of the base vertex's neighbours, plus isolated vertices.
-    mean_size 1 plants no twins; larger means plant more."""
+    true twins (a clique) with probability clique_share, else false twins
+    (independent), joined to the classes of the base vertex's neighbours,
+    plus isolated vertices.  mean_size 1 plants no twins; larger means
+    plant more."""
     sizes = []
     while sum(sizes) < order - isolated:
         sizes.append(1 + int(rng.poisson(mean_size - 1)))
@@ -51,7 +54,7 @@ def blow_up(rng: np.random.Generator, order: int, mean_size: float, isolated: in
     sizes = [s for s in sizes if s > 0]
     label = np.repeat(np.arange(len(sizes)), sizes)
     A = random_base(rng, len(sizes), p)[np.ix_(label, label)]
-    clique = rng.random(len(sizes)) < 0.5
+    clique = rng.random(len(sizes)) < clique_share
     A |= (label[:, None] == label[None, :]) & clique[label][:, None]
     np.fill_diagonal(A, False)
     G = Graph._from_array(A)
@@ -62,7 +65,7 @@ def blow_up(rng: np.random.Generator, order: int, mean_size: float, isolated: in
 def twin_rich_graphs(draw):
     """Graphs of order 300-900 that plant twins: blow-ups with many or few
     twins (so the 4c <= 3n gate falls on both sides), joins with an empty
-    graph, k-folds and K_a joined with a graph."""
+    graph, k-folds, and K_a joined with a graph (true twins only)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     order = draw(st.one_of(st.integers(300, CROSSOVER - 1), st.integers(CROSSOVER, 900)))
     shape = draw(st.sampled_from(["many_twins", "few_twins", "join_empty", "k_fold", "complete_join"]))
@@ -169,6 +172,9 @@ class TestMemoryAndSolveShapes:
     BASE = connected_base(4301, 64, 128)
 
     def test_true_twin_blow_up_solves_one_200_quotient(self, monkeypatch):
+        """The classes of three true twins make the interleaved layout
+        I_3 (x) A + (J_3 - I_3) (x) (A + I), so the block split leaves one
+        part of order 200 to solve and a diagonal one."""
         M = matrix_of(true_twin_blow_up(np.random.default_rng(5)), "adjacency")
         shapes = eigvalsh_shapes(monkeypatch)
         vals = eigenvalues(M).values
@@ -177,19 +183,34 @@ class TestMemoryAndSolveShapes:
 
     @pytest.mark.parametrize("kind", MATRIX_KINDS)
     def test_unequal_twin_classes_solve_a_quotient(self, kind, monkeypatch):
-        """Classes of uneven sizes, true and false twins mixed: no block
-        split, so the twins are deflated, and the true twins' eigenvalue
-        a - b differs from a + b."""
-        G = blow_up(np.random.default_rng(23), 600, 3.0, 0, 0.1)
+        """Classes of false twins of uneven sizes: no block split, so the
+        twins are deflated, each class adding its diagonal value s - 1
+        times."""
+        G = blow_up(np.random.default_rng(23), 600, 3.0, 0, 0.1, clique_share=0.0)
         M = matrix_of(G, kind)
         assert spectra._block_split(M) is None
         label, reps, sizes = spectra._twin_classes(M)
-        true_twins = [c for c in np.flatnonzero(sizes > 1).tolist()
-                      if M[reps[c], np.flatnonzero(label == c)[1]] != 0]
-        assert true_twins and reps.size <= spectra._QUOTIENT_MAX_SHARE * G.n
+        members = np.flatnonzero(reps[label] != np.arange(G.n))
+        assert not M[reps[label[members]], members].any()
+        assert np.unique(sizes[sizes > 1]).size > 2 and reps.size <= spectra._QUOTIENT_MAX_SHARE * G.n
         shapes = eigvalsh_shapes(monkeypatch)
         vals = eigenvalues(M).values
         assert shapes == [(reps.size, reps.size)]
+        assert np.abs(np.array(vals) - dense(M)).max() <= 1e-12 * G.n * max(1.0, np.abs(M).max())
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_true_twins_that_do_not_split_are_solved_densely(self, kind, monkeypatch):
+        """K_200 joined with a random graph on 400 vertices: the 200 clique
+        vertices are true twins, which deflation leaves apart, and no block
+        layout holds the join, so LAPACK solves the whole matrix."""
+        G = join(complete(200), Graph._from_array(random_base(np.random.default_rng(29), 400, 0.1)))
+        M = matrix_of(G, kind)
+        assert spectra._block_split(M) is None
+        label, reps, _ = spectra._twin_classes(M)
+        assert np.unique(label[:200]).size == 200 and reps.size > spectra._QUOTIENT_MAX_SHARE * G.n
+        shapes = eigvalsh_shapes(monkeypatch)
+        vals = eigenvalues(M).values
+        assert shapes == [(600, 600)]
         assert np.abs(np.array(vals) - dense(M)).max() <= 1e-12 * G.n * max(1.0, np.abs(M).max())
 
     def test_peak_memory_on_the_43_composite(self, monkeypatch):

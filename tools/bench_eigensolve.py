@@ -23,8 +23,9 @@ whole matrix (`detect_ms`) and the block probe of a random m = 2n
 Laplacian of the same order (`probe_ms`), which splits into no blocks:
 what every matrix of that order pays to be told so.  Each time is the
 median of --repeat calls on one matrix (at most 3 from order 4096 up),
-interleaved with the other calls timed on it.  The result goes to --out as JSON (default BENCH_eigensolve.json),
-with the host's numpy and CPU count.  Needs numpy and equigraph only:
+interleaved with the other calls timed on it.  The result goes to --out
+as JSON (default BENCH_eigensolve.json), with the host's numpy and CPU
+count.  Needs numpy and equigraph only:
 
     PYTHONPATH=src python tools/bench_eigensolve.py
 """
